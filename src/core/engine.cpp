@@ -352,9 +352,8 @@ Result<std::unique_ptr<Engine>> Engine::Build(SourceSpec spec,
       build.leaf_write_mbps = opts.leaf_write_mbps;
       PARISAX_ASSIGN_OR_RETURN(engine->paris_,
                                ParisIndex::Build(std::move(source), build));
-      engine->query_source_ = engine->paris_->raw_source();
+      engine->index_ = engine->paris_.get();
       const ParisBuildStats& bs = engine->paris_->build_stats();
-      engine->build_report_.tree = bs.tree;
       if (addressable) {
         details << "paris in-memory build, stage3=" << bs.stage3_wall_seconds
                 << "s summarize_cpu=" << bs.summarize_cpu_seconds
@@ -375,13 +374,16 @@ Result<std::unique_ptr<Engine>> Engine::Build(SourceSpec spec,
       PARISAX_ASSIGN_OR_RETURN(
           engine->messi_,
           MessiIndex::Build(std::move(source), build, engine->pool_.get()));
-      engine->query_source_ = &engine->messi_->source();
+      engine->index_ = engine->messi_.get();
       const MessiBuildStats& bs = engine->messi_->build_stats();
-      engine->build_report_.tree = bs.tree;
       details << "messi build, summarize=" << bs.summarize_wall_seconds
               << "s tree=" << bs.tree_wall_seconds << "s";
       break;
     }
+  }
+  if (engine->index_ != nullptr) {
+    engine->query_source_ = &engine->index_->source();
+    engine->build_report_.tree = engine->index_->tree_stats();
   }
   engine->build_report_.wall_seconds = wall.ElapsedSeconds();
   details << ", source=" << source_desc;
@@ -444,8 +446,7 @@ Result<std::unique_ptr<Engine>> Engine::OpenInternal(
           engine->messi_,
           LoadMessiIndex(snapshot_path, std::move(source),
                          engine->pool_.get()));
-      engine->query_source_ = &engine->messi_->source();
-      engine->build_report_.tree = engine->messi_->build_stats().tree;
+      engine->index_ = engine->messi_.get();
       break;
     }
     case SnapshotKind::kParis: {
@@ -453,11 +454,12 @@ Result<std::unique_ptr<Engine>> Engine::OpenInternal(
           engine->paris_,
           LoadParisIndex(snapshot_path, std::move(source),
                          engine->pool_.get()));
-      engine->query_source_ = engine->paris_->raw_source();
-      engine->build_report_.tree = engine->paris_->build_stats().tree;
+      engine->index_ = engine->paris_.get();
       break;
     }
   }
+  engine->query_source_ = &engine->index_->source();
+  engine->build_report_.tree = engine->index_->tree_stats();
   engine->build_report_.wall_seconds = wall.ElapsedSeconds();
   details << AlgorithmName(opts.algorithm)
           << " restored from snapshot, raw data mmap-ed from " << data_path;
@@ -500,13 +502,10 @@ Status Engine::Save(const std::string& snapshot_path) {
   MutexLock append_lock(&append_mu_);
   MutexLock pool_lock(&pool_mu_);
 
-  const auto snap = messi_ != nullptr ? messi_->serving()
-                                      : paris_ != nullptr
-                                            ? paris_->serving()
-                                            : nullptr;
-  if (snap == nullptr) {
+  if (index_ == nullptr) {
     return Status::Internal("snapshot-capable engine has no index");
   }
+  const auto snap = index_->serving();
 
   // Appends since the last head, still coverable by segments (the
   // compactor has not folded past the head), a previous file to chain
@@ -526,7 +525,8 @@ Status Engine::Save(const std::string& snapshot_path) {
       !PathIsInLineageChain(snapshot_path)) {
     std::shared_ptr<const Segment> delta;
     PARISAX_ASSIGN_OR_RETURN(
-        delta, DeltaSegmentLocked(snap, lineage_->head_series_count));
+        delta, index_->DeltaSegment(snap, lineage_->head_series_count,
+                                    pool_.get()));
     SnapshotDeltaSaveOptions dopts;
     dopts.algorithm = static_cast<uint8_t>(options_.algorithm);
     dopts.base_path = lineage_->head_path;
@@ -534,8 +534,7 @@ Status Engine::Save(const std::string& snapshot_path) {
     dopts.prev_series_count = lineage_->head_series_count;
     dopts.chain_depth = lineage_->head_depth + 1;
     PARISAX_RETURN_IF_ERROR(SaveSegmentDelta(
-        messi_ != nullptr ? SnapshotKind::kMessi : SnapshotKind::kParis,
-        *delta, snapshot_path, pool_.get(), dopts));
+        SnapshotKindOf(*index_), *delta, snapshot_path, pool_.get(), dopts));
     return AdoptLineageHead(snapshot_path);
   }
   return SaveFullLocked(snapshot_path);
@@ -565,16 +564,12 @@ Status Engine::FoldAllLocked() {
   // practice.
   WriterLock gate(&index_gate_);
   for (;;) {
-    const auto snap =
-        messi_ != nullptr ? messi_->serving() : paris_->serving();
+    const auto snap = index_->serving();
     if (snap->segments.empty()) return Status::OK();
     bool folded = false;
     PARISAX_ASSIGN_OR_RETURN(
-        folded, messi_ != nullptr
-                    ? messi_->FoldSegments(snap, snap->segments.size(),
-                                           pool_.get())
-                    : paris_->FoldSegments(snap, snap->segments.size(),
-                                           pool_.get()));
+        folded,
+        index_->FoldSegments(snap, snap->segments.size(), pool_.get()));
     if (!folded) {
       return Status::Internal(
           "fold discarded while the append mutex was held");
@@ -583,48 +578,12 @@ Status Engine::FoldAllLocked() {
   }
 }
 
-Result<std::shared_ptr<const Segment>> Engine::DeltaSegmentLocked(
-    const std::shared_ptr<const ServingState>& snap, uint64_t head) {
-  // Fast path: a live segment covering exactly [head, count) — the
-  // common case when saves line up with append boundaries and the
-  // compactor has not merged across the head.
-  for (const auto& segment : snap->segments) {
-    if (segment->first == head &&
-        segment->first + segment->count == snap->count) {
-      return segment;
-    }
-  }
-  // Re-section: collect every entry with id >= head (merged segments
-  // may straddle the head) and build the covering segment fresh.
-  std::vector<LeafEntry> entries;
-  for (const auto& segment : snap->segments) {
-    if (segment->first + segment->count <= head) continue;
-    std::vector<LeafEntry> collected;
-    PARISAX_RETURN_IF_ERROR(
-        CollectTreeEntries(segment->tree, /*storage=*/nullptr,
-                           &collected));
-    for (const LeafEntry& e : collected) {
-      if (e.id >= head) entries.push_back(e);
-    }
-  }
-  const SaxTreeOptions& tree_options = messi_ != nullptr
-                                           ? messi_->tree_options()
-                                           : paris_->tree_options();
-  return SegmentFromEntries(entries, head, snap->count - head,
-                            tree_options,
-                            /*with_sax_rows=*/paris_ != nullptr,
-                            pool_.get());
-}
-
 Status Engine::SaveFullLocked(const std::string& snapshot_path) {
   PARISAX_RETURN_IF_ERROR(FoldAllLocked());
   SnapshotSaveOptions sopts;
   sopts.algorithm = static_cast<uint8_t>(options_.algorithm);
-  const Status saved =
-      messi_ != nullptr
-          ? SaveIndex(*messi_, snapshot_path, pool_.get(), sopts)
-          : SaveIndex(*paris_, snapshot_path, pool_.get(), sopts);
-  PARISAX_RETURN_IF_ERROR(saved);
+  PARISAX_RETURN_IF_ERROR(
+      SaveIndex(*index_, snapshot_path, pool_.get(), sopts));
   return AdoptLineageHead(snapshot_path);
 }
 
@@ -685,8 +644,18 @@ Status Engine::AdoptLineageHead(const std::string& snapshot_path) {
 }
 
 EngineCapabilities Engine::capabilities() const {
-  return NarrowBy(AlgorithmCapabilities(options_.algorithm),
-                  addressable_source_, query_source_->appendable());
+  EngineCapabilities caps =
+      NarrowBy(AlgorithmCapabilities(options_.algorithm),
+               addressable_source_, query_source_->appendable());
+  // An index whose leaves live in on-disk LeafStorage (a streamed build,
+  // or an explicit leaf_storage_path) folds only synchronously in
+  // Save/Compact: a fold reads every flushed chunk back and rebuilds the
+  // base in memory, which a background pass would do unasked on the
+  // first trigger.
+  if (index_ != nullptr && index_->leaf_storage() != nullptr) {
+    caps.background_compaction = false;
+  }
+  return caps;
 }
 
 Status Engine::CheckQuery(SeriesView query,
@@ -724,10 +693,13 @@ Result<SearchResponse> Engine::Search(SeriesView query,
 Result<SearchResponse> Engine::Search(SeriesView query,
                                       const SearchRequest& request,
                                       Executor* exec) {
-  // The append RW gate: any number of queries run concurrently; an
-  // Append drains them, mutates the index exclusively, and the next
-  // queries see the new epoch. (Lock order: pool_mu_, when the caller
-  // holds it, is always acquired before this.)
+  // The in-place-mutation RW gate: any number of queries hold it
+  // shared. Segment appends over addressable sources never take it
+  // (queries keep the snapshot they captured); only scan-engine and
+  // streamed-source appends and synchronous fold-alls take it
+  // exclusively, draining in-flight queries first. (Lock order:
+  // pool_mu_, when the caller holds it, is always acquired before
+  // this.)
   ReaderLock gate(&index_gate_);
   PARISAX_RETURN_IF_ERROR(CheckQuery(query, request));
   // Entry deadline check, covering every algorithm. The index engines
@@ -883,19 +855,14 @@ Result<AppendReport> Engine::Append(const Value* values, size_t count) {
   MutexLock append_lock(&append_mu_);
 
   std::vector<uint32_t> touched;
-  // Index engines over addressable sources publish the new segment as
-  // an atomic snapshot swap — in-flight queries keep the snapshot they
-  // captured, so nothing drains. The segment is small (one batch), so
-  // building it inline beats contending for the shared query pool.
-  const bool segmented =
-      (messi_ != nullptr || paris_ != nullptr) && addressable_source_;
-  if (segmented) {
+  if (index_ != nullptr && addressable_source_) {
+    // Index engines over addressable sources publish the new segment as
+    // an atomic snapshot swap — in-flight queries keep the snapshot they
+    // captured, so nothing drains. The segment is small (one batch), so
+    // building it inline beats contending for the shared query pool.
     InlineExecutor inline_exec;
-    const Status appended =
-        messi_ != nullptr
-            ? messi_->Append(values, count, &inline_exec, &touched)
-            : paris_->Append(values, count, &inline_exec, &touched);
-    PARISAX_RETURN_IF_ERROR(appended);
+    PARISAX_RETURN_IF_ERROR(
+        index_->Append(values, count, &inline_exec, &touched));
   } else {
     // Scan engines mutate the raw source queries scan in place, and
     // streamed index engines share buffered readers with the refine
@@ -904,26 +871,15 @@ Result<AppendReport> Engine::Append(const Value* values, size_t count) {
     // order; Save must not run mid-append), then the gate.
     MutexLock pool_lock(&pool_mu_);
     WriterLock gate(&index_gate_);
-    switch (options_.algorithm) {
-      case Algorithm::kBruteForce:
-      case Algorithm::kUcrSerial:
-      case Algorithm::kUcrParallel:
-        // Scan engines have no index: growing the source is the whole
-        // ingest.
-        PARISAX_RETURN_IF_ERROR(source_->AppendSeries(values, count));
-        break;
-      case Algorithm::kAdsPlus:
-        return Status::Internal(
-            "ADS+ append slipped past the capability gate");
-      case Algorithm::kParis:
-      case Algorithm::kParisPlus:
-        PARISAX_RETURN_IF_ERROR(
-            paris_->Append(values, count, pool_.get(), &touched));
-        break;
-      case Algorithm::kMessi:
-        PARISAX_RETURN_IF_ERROR(
-            messi_->Append(values, count, pool_.get(), &touched));
-        break;
+    if (index_ != nullptr) {
+      PARISAX_RETURN_IF_ERROR(
+          index_->Append(values, count, pool_.get(), &touched));
+    } else if (source_ != nullptr) {
+      // Scan engines have no index: growing the source is the whole
+      // ingest.
+      PARISAX_RETURN_IF_ERROR(source_->AppendSeries(values, count));
+    } else {
+      return Status::Internal("ADS+ append slipped past the capability gate");
     }
   }
 
@@ -940,14 +896,6 @@ Result<AppendReport> Engine::Append(const Value* values, size_t count) {
 void Engine::StartCompactorIfEnabled() {
   if (!options_.background_compaction) return;
   if (!capabilities().background_compaction) return;
-  // LeafStorage readback is not verified for concurrent use with a
-  // fold's leaf collection, so ParIS+ engines that materialized leaves
-  // on disk keep compaction synchronous (Save/Compact fold under the
-  // write gate instead).
-  const bool safe =
-      messi_ != nullptr ||
-      (paris_ != nullptr && paris_->leaf_storage() == nullptr);
-  if (!safe) return;
   compactor_ = std::thread([this] { CompactorLoop(); });
   // A restored chain can start life over the trigger; fold it without
   // waiting for the first append.
@@ -1001,8 +949,7 @@ Status Engine::CompactionPass() {
   MutexLock append_lock(&append_mu_);
   InlineExecutor inline_exec;
   for (;;) {
-    const auto snap =
-        messi_ != nullptr ? messi_->serving() : paris_->serving();
+    const auto snap = index_->serving();
     if (snap->segments.size() <
         static_cast<size_t>(options_.compaction_trigger_segments)) {
       return Status::OK();
@@ -1022,19 +969,13 @@ Status Engine::CompactionPass() {
       // Minor: the tail is small relative to the base — merging the
       // run into one segment is cheap and keeps the base untouched.
       PARISAX_ASSIGN_OR_RETURN(
-          ok, messi_ != nullptr
-                  ? messi_->MergeSegmentRun(snap, snap->segments.size(),
-                                            &inline_exec)
-                  : paris_->MergeSegmentRun(snap, snap->segments.size(),
-                                            &inline_exec));
+          ok, index_->MergeSegmentRun(snap, snap->segments.size(),
+                                      &inline_exec));
     } else {
       // Major: fold everything into a fresh base.
       PARISAX_ASSIGN_OR_RETURN(
-          ok, messi_ != nullptr
-                  ? messi_->FoldSegments(snap, snap->segments.size(),
-                                         &inline_exec)
-                  : paris_->FoldSegments(snap, snap->segments.size(),
-                                         &inline_exec));
+          ok, index_->FoldSegments(snap, snap->segments.size(),
+                                   &inline_exec));
     }
     if (!ok) {
       return Status::Internal(

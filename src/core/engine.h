@@ -40,6 +40,7 @@
 #include "index/query_stats.h"
 #include "index/raw_source.h"
 #include "index/segment.h"
+#include "index/segmented_index.h"
 #include "index/tree.h"
 #include "io/dataset.h"
 #include "io/sim_disk.h"
@@ -321,14 +322,18 @@ class Engine : public SearchBackend {
   }
   const EngineOptions& options() const { return options_; }
   /// The *initial* build/restore report; Append does not update it
-  /// (post-append tree stats live on the index's build_stats(), read
-  /// them without concurrent appends).
+  /// (post-append tree stats live on segmented_index()->tree_stats();
+  /// read them without concurrent appends).
   const BuildReport& build_report() const { return build_report_; }
 
   /// The wrapped indexes (null when the algorithm does not use them).
   const AdsIndex* ads_index() const { return ads_.get(); }
   const ParisIndex* paris_index() const { return paris_.get(); }
   const MessiIndex* messi_index() const { return messi_.get(); }
+  /// The segmented core under the MESSI or ParIS index (null for the
+  /// scan engines and ADS+): the serving snapshot, tree stats and
+  /// source, whichever of the two the engine wraps.
+  const SegmentedIndex* segmented_index() const { return index_; }
 
   /// The raw series the engine answers queries against (owned by the
   /// engine, directly or through its index).
@@ -359,14 +364,6 @@ class Engine : public SearchBackend {
   /// append_mu_ and pool_mu_ (the fold briefly takes the write side of
   /// index_gate_ to cover streamed sources and leaf storage).
   Status FoldAllLocked() PARISAX_REQUIRES(append_mu_, pool_mu_);
-  /// The segment a delta snapshot serializes: ids [head, count). An
-  /// existing segment with exactly that range is reused; otherwise the
-  /// covering entries are re-sectioned into a fresh segment (merged
-  /// segments may straddle the head). Caller holds append_mu_ and
-  /// pool_mu_.
-  Result<std::shared_ptr<const Segment>> DeltaSegmentLocked(
-      const std::shared_ptr<const ServingState>& snap, uint64_t head)
-      PARISAX_REQUIRES(append_mu_, pool_mu_);
   /// True when `snapshot_path` names a file of the current on-disk
   /// chain (or the chain cannot be walked): a delta must not overwrite
   /// those. Caller holds pool_mu_ and lineage_ is set.
@@ -459,6 +456,10 @@ class Engine : public SearchBackend {
   std::unique_ptr<AdsIndex> ads_;
   std::unique_ptr<ParisIndex> paris_;
   std::unique_ptr<MessiIndex> messi_;
+  /// paris_ or messi_ seen as their shared core (null otherwise): every
+  /// save, fold, append and compaction path goes through it; only
+  /// Build, Open and Search pick the concrete index.
+  SegmentedIndex* index_ = nullptr;
 };
 
 }  // namespace parisax

@@ -34,17 +34,6 @@ class FlatSaxCache {
     return &data_[i];
   }
 
-  /// Grows the array to `new_count` summaries, preserving the existing
-  /// ones (the append path). May invalidate At()/MutableAt() pointers;
-  /// callers must exclude concurrent readers. Capacity grows
-  /// geometrically (AlignedBuffer::GrowTo), so repeated small appends
-  /// cost amortized O(1) copying per new row.
-  void Grow(size_t new_count) {
-    assert(new_count >= count_);
-    data_.GrowTo(new_count, count_);
-    count_ = new_count;
-  }
-
  private:
   size_t count_ = 0;
   AlignedBuffer<SaxSymbols> data_;

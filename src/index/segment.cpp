@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "index/ingest.h"
+#include "sax/paa.h"
 #include "sax/word.h"
 
 namespace parisax {
@@ -26,15 +26,26 @@ void FillSaxRows(Segment* seg) {
 Result<std::shared_ptr<const Segment>> BuildSegment(
     const Value* values, size_t count, SeriesId first,
     const SaxTreeOptions& options, bool with_sax_rows, Executor* exec) {
-  auto seg = std::make_shared<Segment>(options);
-  seg->first = first;
-  seg->count = count;
-  PARISAX_RETURN_IF_ERROR(AppendTailToTree(&seg->tree, values, count, first,
-                                           exec, /*storage=*/nullptr,
-                                           /*cache=*/nullptr,
-                                           /*touched_roots=*/nullptr));
-  if (with_sax_rows) FillSaxRows(seg.get());
-  return std::shared_ptr<const Segment>(std::move(seg));
+  // Summarize the batch in parallel straight from the caller's buffer
+  // (identical values to what the grown source holds), then insert it
+  // the way every other segment is built.
+  const size_t n = options.series_length;
+  const int w = options.segments;
+  std::vector<LeafEntry> entries(count);
+  WorkCounter chunks(count);
+  exec->Run([&](int) {
+    float paa[kMaxSegments];
+    size_t begin, end;
+    while (chunks.NextBatch(1024, &begin, &end)) {
+      for (size_t i = begin; i < end; ++i) {
+        ComputePaa(SeriesView(values + i * n, n), w, paa);
+        entries[i].id = first + i;
+        SymbolsFromPaa(paa, w, &entries[i].sax);
+      }
+    }
+  });
+  return SegmentFromEntries(entries, first, count, options, with_sax_rows,
+                            exec);
 }
 
 Result<std::shared_ptr<const Segment>> SegmentFromEntries(

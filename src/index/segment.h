@@ -158,16 +158,17 @@ class ServingDock {
 
 /// Builds a segment over `count` series whose raw values are `values`
 /// (count * options.series_length floats, row-major), indexed as ids
-/// [first, first + count): the append pipeline run into a fresh tree.
+/// [first, first + count): the batch is summarized in parallel, then
+/// inserted through SegmentFromEntries like every other segment.
 /// `with_sax_rows` additionally materializes the flat SAX rows (ParIS).
 Result<std::shared_ptr<const Segment>> BuildSegment(
     const Value* values, size_t count, SeriesId first,
     const SaxTreeOptions& options, bool with_sax_rows, Executor* exec);
 
 /// Builds a segment over [first, first + count) from already-summarized
-/// entries (ids must all lie in the range). The snapshot loader
-/// rehydrates persisted segments through this; MergeSegments and the
-/// fold path reuse it.
+/// entries (ids must all lie in the range). BuildSegment, MergeSegments
+/// and delta re-sectioning (SegmentedIndex::DeltaSegment) build through
+/// this.
 Result<std::shared_ptr<const Segment>> SegmentFromEntries(
     const std::vector<LeafEntry>& entries, SeriesId first, size_t count,
     const SaxTreeOptions& options, bool with_sax_rows, Executor* exec);

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <limits>
 #include <queue>
 #include <utility>
 
 #include "dist/dtw.h"
-#include "index/approx_search.h"
 #include "index/knn_heap.h"
 #include "messi/isax_buffers.h"
 #include "sax/mindist.h"
@@ -317,51 +315,7 @@ struct DtwNnPolicy {
   }
 };
 
-/// Best (distance, id) across `a` and `b`.
-Neighbor BetterNeighbor(const Neighbor& a, const Neighbor& b) {
-  if (b.distance_sq < a.distance_sq ||
-      (b.distance_sq == a.distance_sq && b.id < a.id)) {
-    return b;
-  }
-  return a;
-}
-
-/// Approximate probe merged across the snapshot's base and segments:
-/// the BSF seed for the exact searches.
-Result<Neighbor> ProbeAllTrees(const ServingState& snap, SeriesView query,
-                               const float* paa, const SaxSymbols& sax,
-                               KernelPolicy kernel, QueryStats* stats) {
-  Neighbor best{0, kInf};
-  Neighbor cand;
-  PARISAX_ASSIGN_OR_RETURN(
-      cand, ApproximateLeafSearch(*snap.base, /*storage=*/nullptr, snap.raw,
-                                  query, paa, sax, kernel, stats));
-  best = BetterNeighbor(best, cand);
-  for (const auto& seg : snap.segments) {
-    PARISAX_ASSIGN_OR_RETURN(
-        cand, ApproximateLeafSearch(seg->tree, /*storage=*/nullptr,
-                                    snap.raw, query, paa, sax, kernel,
-                                    stats));
-    best = BetterNeighbor(best, cand);
-  }
-  return best;
-}
-
 }  // namespace
-
-Status MessiIndex::AttachSource(std::unique_ptr<RawSeriesSource> source) {
-  if (source->length() != tree_options_.series_length) {
-    return Status::InvalidArgument(
-        "raw source length does not match the index");
-  }
-  if (source->ContiguousData() == nullptr && source->count() > 0) {
-    return Status::NotSupported(
-        "MESSI requires a directly addressable raw source (in-memory or "
-        "mmap)");
-  }
-  source_ = std::move(source);
-  return Status::OK();
-}
 
 Result<std::unique_ptr<MessiIndex>> MessiIndex::Build(
     std::unique_ptr<RawSeriesSource> source,
@@ -447,111 +401,14 @@ Result<std::unique_ptr<MessiIndex>> MessiIndex::Build(
   if (index->build_stats_.tree.total_entries != total_series) {
     return Status::Internal("MESSI build lost series");
   }
+  index->tree_stats_ = index->build_stats_.tree;
 
   auto state = std::make_shared<ServingState>();
   state->base = std::move(base);
   state->base_count = total_series;
-  state->raw = raw;
   state->count = total_series;
-  index->dock_.Publish(std::move(state));
+  index->PublishInitial(std::move(state));
   return index;
-}
-
-Status MessiIndex::Append(const Value* values, size_t count,
-                          Executor* exec,
-                          std::vector<uint32_t>* touched_roots) {
-  if (touched_roots != nullptr) touched_roots->clear();
-  if (count == 0) return Status::OK();
-  const SeriesId first = dock_.get()->count;
-
-  // Grow the source first (the source retires — never frees — the
-  // buffers behind published raw views), then build the segment from
-  // the caller's values and publish both in one atomic step. Queries
-  // keep whichever snapshot they captured.
-  PARISAX_RETURN_IF_ERROR(source_->AppendSeries(values, count));
-  std::shared_ptr<const Segment> segment;
-  PARISAX_ASSIGN_OR_RETURN(
-      segment, BuildSegment(values, count, first, tree_options_,
-                            /*with_sax_rows=*/false, exec));
-  if (touched_roots != nullptr) {
-    *touched_roots = segment->tree.PresentRoots();
-  }
-  dock_.PublishAppend(std::move(segment),
-                      RawDataView{source_->ContiguousData(),
-                                  tree_options_.series_length},
-                      source_->count());
-  // O(batch) bookkeeping: only total_entries is maintained
-  // incrementally; the other shape stats reflect the last full build.
-  build_stats_.tree.total_entries += count;
-#ifndef NDEBUG
-  {
-    const auto snap = dock_.get();
-    size_t total = snap->base->Collect().total_entries;
-    for (const auto& seg : snap->segments) {
-      total += seg->tree.Collect().total_entries;
-    }
-    assert(total == snap->count);
-  }
-#endif
-  return Status::OK();
-}
-
-Result<bool> MessiIndex::FoldSegments(
-    const std::shared_ptr<const ServingState>& snap, size_t folded,
-    Executor* exec) {
-  if (folded == 0) return true;
-  if (folded > snap->segments.size()) {
-    return Status::InvalidArgument("fold count exceeds the segment list");
-  }
-  std::vector<LeafEntry> entries;
-  PARISAX_RETURN_IF_ERROR(
-      CollectTreeEntries(*snap->base, /*storage=*/nullptr, &entries));
-  size_t new_base_count = snap->base_count;
-  for (size_t i = 0; i < folded; ++i) {
-    PARISAX_RETURN_IF_ERROR(CollectTreeEntries(snap->segments[i]->tree,
-                                               /*storage=*/nullptr,
-                                               &entries));
-    new_base_count += snap->segments[i]->count;
-  }
-  auto base = std::make_shared<SaxTree>(tree_options_);
-  PARISAX_RETURN_IF_ERROR(BuildTreeFromEntries(base.get(), entries, exec));
-  if (base->Collect().total_entries != new_base_count) {
-    return Status::Internal("MESSI fold lost series");
-  }
-  return dock_.TryFold(snap, folded, std::move(base), /*cache=*/nullptr,
-                       new_base_count);
-}
-
-Result<bool> MessiIndex::MergeSegmentRun(
-    const std::shared_ptr<const ServingState>& snap, size_t folded,
-    Executor* exec) {
-  if (folded < 2 || folded > snap->segments.size()) {
-    return Status::InvalidArgument("merge run out of range");
-  }
-  const std::vector<std::shared_ptr<const Segment>> parts(
-      snap->segments.begin(), snap->segments.begin() + folded);
-  std::shared_ptr<const Segment> merged;
-  PARISAX_ASSIGN_OR_RETURN(merged,
-                           MergeSegments(parts, tree_options_, exec));
-  return dock_.TryMergeSegments(snap, folded, std::move(merged));
-}
-
-Result<Neighbor> MessiIndex::SearchApproximate(SeriesView query,
-                                               QueryStats* stats) const {
-  if (query.size() != tree_options_.series_length) {
-    return Status::InvalidArgument("query length does not match the index");
-  }
-  WallTimer timer;
-  const auto snap = dock_.get();
-  const int w = tree_options_.segments;
-  float paa[kMaxSegments];
-  ComputePaa(query, w, paa);
-  SaxSymbols sax;
-  SymbolsFromPaa(paa, w, &sax);
-  auto result =
-      ProbeAllTrees(*snap, query, paa, sax, KernelPolicy::kAuto, stats);
-  if (stats != nullptr) stats->total_seconds = timer.ElapsedSeconds();
-  return result;
 }
 
 Result<Neighbor> MessiIndex::SearchExact(SeriesView query,

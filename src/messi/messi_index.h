@@ -17,10 +17,12 @@
 //
 // Incremental ingest (beyond the paper): the index serves an immutable
 // snapshot — the bulk-built base tree plus an ordered list of delta
-// segments (src/index/segment.h). Append builds a new segment and
-// publishes it; queries capture one snapshot at entry and run the
-// paper's Stage 3 over the base's and every segment's root subtrees
-// under a single shared bound, so appends never exclude queries.
+// segments (src/index/segment.h). Appends, compaction and the
+// approximate probe live in the SegmentedIndex core it shares with
+// ParIS (src/index/segmented_index.h); queries capture one snapshot at
+// entry and run the paper's Stage 3 over the base's and every segment's
+// root subtrees under a single shared bound, so appends never exclude
+// queries.
 //
 // Extensions implemented beyond the exact-ED query: kNN search and DTW
 // search on the unchanged index (the paper's "current work").
@@ -33,7 +35,7 @@
 #include "dist/euclidean.h"
 #include "index/query_stats.h"
 #include "index/raw_source.h"
-#include "index/segment.h"
+#include "index/segmented_index.h"
 #include "index/tree.h"
 #include "util/cancellation.h"
 #include "util/status.h"
@@ -84,7 +86,10 @@ struct MessiQueryOptions {
 
 class SnapshotReader;
 
-class MessiIndex {
+/// MESSI over the shared segmented core: append, compaction, the
+/// approximate probe and the serving snapshot are SegmentedIndex's;
+/// this class adds the Stage 1-2 build and the Stage 3 exact searches.
+class MessiIndex : public SegmentedIndex {
  public:
   /// Builds over an owned raw-series source. The source must be directly
   /// addressable (an InMemorySource or MmapSource — MESSI's RawData array
@@ -94,17 +99,6 @@ class MessiIndex {
   static Result<std::unique_ptr<MessiIndex>> Build(
       std::unique_ptr<RawSeriesSource> source,
       const MessiBuildOptions& options, ThreadPool* pool);
-
-  /// Incremental ingest: appends `count` series (count * length values,
-  /// row-major, already z-normalized) to the owned source, then builds
-  /// an immutable delta segment over just the new ids and publishes it
-  /// onto the serving snapshot. `touched_roots` (optional) receives the
-  /// ascending root keys the segment populated. Queries proceed
-  /// concurrently (they keep the snapshot they captured at entry);
-  /// callers serialize appends with each other (the Engine append mutex
-  /// does). Requires source().appendable().
-  Status Append(const Value* values, size_t count, Executor* exec,
-                std::vector<uint32_t>* touched_roots = nullptr);
 
   // Query paths take an Executor rather than owning threads: pass a
   // ThreadPool to fan one query out over every core (the paper's Stage
@@ -133,58 +127,17 @@ class MessiIndex {
                                   Executor* exec,
                                   QueryStats* stats = nullptr) const;
 
-  /// Approximate 1-NN: best real distance within the matching leaf of
-  /// the base and of every segment.
-  Result<Neighbor> SearchApproximate(SeriesView query,
-                                     QueryStats* stats = nullptr) const;
-
-  /// Current serving snapshot (base + segments). Cheap: copies one
-  /// shared_ptr under a brief lock.
-  std::shared_ptr<const ServingState> serving() const { return dock_.get(); }
-
-  /// Folds the first `folded` segments of `snap` into a fresh base tree
-  /// and splices it in. Runs entirely off the serving path; the splice
-  /// is discarded (returns false) if the serving state's base or folded
-  /// segments changed since `snap` was captured. Safe to run
-  /// concurrently with queries and appends.
-  Result<bool> FoldSegments(const std::shared_ptr<const ServingState>& snap,
-                            size_t folded, Executor* exec);
-
-  /// Minor compaction: merges the first `folded` segments of `snap` into
-  /// one segment (same discard semantics as FoldSegments).
-  Result<bool> MergeSegmentRun(
-      const std::shared_ptr<const ServingState>& snap, size_t folded,
-      Executor* exec);
-
-  /// Base tree of the current snapshot. For quiescent callers (tests,
-  /// invariant checks): the reference is only stable while nothing
-  /// publishes a new snapshot.
-  const SaxTree& tree() const { return *dock_.get()->base; }
-  const SaxTreeOptions& tree_options() const { return tree_options_; }
+  /// Stage timings and tree shape of the bulk build (zero after a
+  /// snapshot restore).
   const MessiBuildStats& build_stats() const { return build_stats_; }
-  /// The raw series the index answers queries against: an InMemorySource
-  /// over the build-time dataset, or the source (e.g. an MmapSource)
-  /// attached when the index was restored from a snapshot.
-  const RawSeriesSource& source() const { return *source_; }
-  /// Series in the indexed collection (as of the current snapshot).
-  size_t series_count() const { return dock_.get()->count; }
 
  private:
-  /// Snapshot restore (src/persist/) reconstructs the serving state.
+  /// Snapshot restore (src/persist/) constructs restored indexes.
   friend class SnapshotReader;
 
   explicit MessiIndex(const SaxTreeOptions& tree_options)
-      : tree_options_(tree_options) {}
+      : SegmentedIndex(tree_options, /*flat_sax=*/false) {}
 
-  /// Takes ownership of `source`; fails if the source is not directly
-  /// addressable (MESSI computes real distances on raw values in
-  /// memory).
-  Status AttachSource(std::unique_ptr<RawSeriesSource> source);
-
-  SaxTreeOptions tree_options_;
-  std::unique_ptr<RawSeriesSource> source_;
-  /// The serving snapshot publication point (see segment.h).
-  ServingDock dock_;
   MessiBuildStats build_stats_;
 };
 

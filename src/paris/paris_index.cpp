@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
-#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "index/approx_search.h"
-#include "index/ingest.h"
 #include "paris/recbuf.h"
 #include "sax/mindist.h"
 #include "sax/paa.h"
@@ -19,8 +15,6 @@
 namespace parisax {
 
 namespace {
-
-constexpr float kInf = std::numeric_limits<float>::infinity();
 
 /// One half of the double-buffered raw data buffer (Stage 1 <-> Stage 2).
 struct BatchSlot {
@@ -48,55 +42,6 @@ struct BatchSlot {
   std::vector<uint32_t> drain_list;  // ParIS+: keys to drain this batch
   WorkCounter drain{0};              // claims over drain_list
 };
-
-/// Best (distance, id) across `a` and `b`.
-Neighbor BetterNeighbor(const Neighbor& a, const Neighbor& b) {
-  if (b.distance_sq < a.distance_sq ||
-      (b.distance_sq == a.distance_sq && b.id < a.id)) {
-    return b;
-  }
-  return a;
-}
-
-/// Approximate probe merged across the snapshot's base and segments:
-/// the BSF seed for the exact search. Addressable snapshots read
-/// through the pinned raw view (gate-free); streamed ones go through
-/// the source.
-Result<Neighbor> ProbeAllTrees(const ServingState& snap,
-                               const RawSeriesSource& source,
-                               LeafStorage* storage, SeriesView query,
-                               const float* paa, const SaxSymbols& sax,
-                               KernelPolicy kernel, QueryStats* stats) {
-  const bool addressable = snap.raw.base != nullptr;
-  Neighbor best{0, kInf};
-  Neighbor cand;
-  if (addressable) {
-    PARISAX_ASSIGN_OR_RETURN(
-        cand, ApproximateLeafSearch(*snap.base, storage, snap.raw, query,
-                                    paa, sax, kernel, stats));
-  } else {
-    PARISAX_ASSIGN_OR_RETURN(
-        cand, ApproximateLeafSearch(*snap.base, storage, source, query,
-                                    paa, sax, kernel, stats));
-  }
-  best = BetterNeighbor(best, cand);
-  for (const auto& seg : snap.segments) {
-    // Segment leaves are always fully in memory (no flushed chunks).
-    if (addressable) {
-      PARISAX_ASSIGN_OR_RETURN(
-          cand, ApproximateLeafSearch(seg->tree, /*storage=*/nullptr,
-                                      snap.raw, query, paa, sax, kernel,
-                                      stats));
-    } else {
-      PARISAX_ASSIGN_OR_RETURN(
-          cand, ApproximateLeafSearch(seg->tree, /*storage=*/nullptr,
-                                      source, query, paa, sax, kernel,
-                                      stats));
-    }
-    best = BetterNeighbor(best, cand);
-  }
-  return best;
-}
 
 }  // namespace
 
@@ -496,117 +441,16 @@ Result<std::unique_ptr<ParisIndex>> ParisIndex::Build(
   ParisBuilder builder(index.get(), base.get(), cache.get(), options,
                        total_series);
   PARISAX_RETURN_IF_ERROR(builder.Run(*source));
-  index->source_ = std::move(source);
+  PARISAX_RETURN_IF_ERROR(index->AttachSource(std::move(source)));
+  index->tree_stats_ = index->build_stats_.tree;
 
   auto state = std::make_shared<ServingState>();
   state->base = std::move(base);
   state->base_count = total_series;
   state->cache = std::move(cache);
-  state->raw = RawDataView{index->source_->ContiguousData(),
-                           options.tree.series_length};
   state->count = total_series;
-  index->dock_.Publish(std::move(state));
+  index->PublishInitial(std::move(state));
   return index;
-}
-
-Status ParisIndex::Append(const Value* values, size_t count,
-                          Executor* exec,
-                          std::vector<uint32_t>* touched_roots) {
-  if (touched_roots != nullptr) touched_roots->clear();
-  if (count == 0) return Status::OK();
-  const SeriesId first = dock_.get()->count;
-
-  // Grow the source first (the source retires — never frees — the
-  // buffers behind published raw views), then build the segment from
-  // the caller's values and publish both in one atomic step.
-  PARISAX_RETURN_IF_ERROR(source_->AppendSeries(values, count));
-  std::shared_ptr<const Segment> segment;
-  PARISAX_ASSIGN_OR_RETURN(
-      segment, BuildSegment(values, count, first, tree_options_,
-                            /*with_sax_rows=*/true, exec));
-  if (touched_roots != nullptr) {
-    *touched_roots = segment->tree.PresentRoots();
-  }
-  dock_.PublishAppend(std::move(segment),
-                      RawDataView{source_->ContiguousData(),
-                                  tree_options_.series_length},
-                      source_->count());
-  // O(batch) bookkeeping: only total_entries is maintained
-  // incrementally; the other shape stats reflect the last full build.
-  build_stats_.tree.total_entries += count;
-#ifndef NDEBUG
-  {
-    const auto snap = dock_.get();
-    size_t total = snap->base->Collect().total_entries;
-    for (const auto& seg : snap->segments) {
-      total += seg->tree.Collect().total_entries;
-    }
-    assert(total == snap->count);
-  }
-#endif
-  return Status::OK();
-}
-
-Result<bool> ParisIndex::FoldSegments(
-    const std::shared_ptr<const ServingState>& snap, size_t folded,
-    Executor* exec) {
-  if (folded == 0) return true;
-  if (folded > snap->segments.size()) {
-    return Status::InvalidArgument("fold count exceeds the segment list");
-  }
-  // Collect the base's entries (reading back any flushed chunks) plus
-  // the folded segments'.
-  std::vector<LeafEntry> entries;
-  PARISAX_RETURN_IF_ERROR(
-      CollectTreeEntries(*snap->base, leaf_storage_.get(), &entries));
-  size_t new_base_count = snap->base_count;
-  for (size_t i = 0; i < folded; ++i) {
-    PARISAX_RETURN_IF_ERROR(CollectTreeEntries(snap->segments[i]->tree,
-                                               /*storage=*/nullptr,
-                                               &entries));
-    new_base_count += snap->segments[i]->count;
-  }
-  auto base = std::make_shared<SaxTree>(tree_options_);
-  PARISAX_RETURN_IF_ERROR(BuildTreeFromEntries(base.get(), entries, exec));
-  if (base->Collect().total_entries != new_base_count) {
-    return Status::Internal("ParIS fold lost series");
-  }
-  auto cache = std::make_shared<FlatSaxCache>(new_base_count);
-  for (const LeafEntry& e : entries) *cache->MutableAt(e.id) = e.sax;
-  return dock_.TryFold(snap, folded, std::move(base), std::move(cache),
-                       new_base_count);
-}
-
-Result<bool> ParisIndex::MergeSegmentRun(
-    const std::shared_ptr<const ServingState>& snap, size_t folded,
-    Executor* exec) {
-  if (folded < 2 || folded > snap->segments.size()) {
-    return Status::InvalidArgument("merge run out of range");
-  }
-  const std::vector<std::shared_ptr<const Segment>> parts(
-      snap->segments.begin(), snap->segments.begin() + folded);
-  std::shared_ptr<const Segment> merged;
-  PARISAX_ASSIGN_OR_RETURN(merged,
-                           MergeSegments(parts, tree_options_, exec));
-  return dock_.TryMergeSegments(snap, folded, std::move(merged));
-}
-
-Result<Neighbor> ParisIndex::SearchApproximate(SeriesView query,
-                                               QueryStats* stats) const {
-  if (query.size() != tree_options_.series_length) {
-    return Status::InvalidArgument("query length does not match the index");
-  }
-  WallTimer timer;
-  const auto snap = dock_.get();
-  const int w = tree_options_.segments;
-  float paa[kMaxSegments];
-  ComputePaa(query, w, paa);
-  SaxSymbols sax;
-  SymbolsFromPaa(paa, w, &sax);
-  auto result = ProbeAllTrees(*snap, *source_, leaf_storage_.get(), query,
-                              paa, sax, KernelPolicy::kAuto, stats);
-  if (stats != nullptr) stats->total_seconds = timer.ElapsedSeconds();
-  return result;
 }
 
 Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
@@ -629,8 +473,7 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
   WallTimer approx_timer;
   Neighbor best;
   PARISAX_ASSIGN_OR_RETURN(
-      best, ProbeAllTrees(*snap, *source_, leaf_storage_.get(), query, paa,
-                          sax, options.kernel, stats));
+      best, ProbeAllTrees(*snap, query, paa, sax, options.kernel, stats));
   if (stats != nullptr) {
     stats->approx_phase_seconds = approx_timer.ElapsedSeconds();
   }

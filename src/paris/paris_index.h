@@ -25,11 +25,12 @@
 // Incremental ingest (beyond the paper): the index serves an immutable
 // snapshot — the bulk-built base (tree + flat SAX array) plus an ordered
 // list of delta segments that carry their own SAX rows
-// (src/index/segment.h). Append builds a new segment and publishes it;
-// queries capture one snapshot at entry, filter the base's SAX array and
-// every segment's rows under one shared bound, and refine against the
-// pinned raw view — so appends over addressable sources never exclude
-// queries.
+// (src/index/segment.h). Appends, compaction and the approximate probe
+// live in the SegmentedIndex core it shares with MESSI
+// (src/index/segmented_index.h); queries capture one snapshot at entry,
+// filter the base's SAX array and every segment's rows under one shared
+// bound, and refine against the pinned raw view — so appends over
+// addressable sources never exclude queries.
 //
 // Query answering (both variants): seed the BSF from the approximate-
 // match leaf, filter the flat SAX array in parallel with SIMD mindist,
@@ -46,7 +47,7 @@
 #include "index/leaf_storage.h"
 #include "index/query_stats.h"
 #include "index/raw_source.h"
-#include "index/segment.h"
+#include "index/segmented_index.h"
 #include "index/tree.h"
 #include "util/cancellation.h"
 #include "util/status.h"
@@ -119,7 +120,11 @@ struct ParisQueryOptions {
   AtomicMinFloat* shared_bound = nullptr;
 };
 
-class ParisIndex {
+/// ParIS/ParIS+ over the shared segmented core: append, compaction,
+/// the approximate probe and the serving snapshot are SegmentedIndex's;
+/// this class adds the Fig. 2 build pipeline and the filter-and-refine
+/// exact search over the flat SAX array.
+class ParisIndex : public SegmentedIndex {
  public:
   /// Builds over an owned raw-series source; the index takes ownership
   /// and answers query-time raw fetches through it. An addressable
@@ -133,18 +138,6 @@ class ParisIndex {
       std::unique_ptr<RawSeriesSource> source,
       const ParisBuildOptions& options);
 
-  /// Incremental ingest: appends `count` series (count * length values,
-  /// row-major, already z-normalized) to the owned source, then builds
-  /// an immutable delta segment (tree + SAX rows) over just the new ids
-  /// and publishes it onto the serving snapshot. `touched_roots`
-  /// (optional) receives the ascending root keys the segment populated.
-  /// Over an addressable source, queries proceed concurrently (they
-  /// keep the snapshot they captured at entry); callers serialize
-  /// appends with each other (the Engine append mutex does). Requires
-  /// raw_source()->appendable().
-  Status Append(const Value* values, size_t count, Executor* exec,
-                std::vector<uint32_t>* touched_roots = nullptr);
-
   /// Exact 1-NN (squared ED), parallel. `Neighbor{0, +inf}` if empty.
   /// `exec` supplies the query's parallelism: a ThreadPool fans the
   /// filter/refine phases out over every core, an InlineExecutor runs
@@ -156,54 +149,22 @@ class ParisIndex {
                                Executor* exec,
                                QueryStats* stats = nullptr) const;
 
-  /// Approximate 1-NN: best real distance within the matching leaf of
-  /// the base and of every segment.
-  Result<Neighbor> SearchApproximate(SeriesView query,
-                                     QueryStats* stats = nullptr) const;
-
-  /// Current serving snapshot (base + segments). Cheap: copies one
-  /// shared_ptr under a brief lock.
-  std::shared_ptr<const ServingState> serving() const { return dock_.get(); }
-
-  /// Folds the first `folded` segments of `snap` into a fresh base
-  /// (tree + flat SAX array) and splices it in. Runs entirely off the
-  /// serving path; the splice is discarded (returns false) if the
-  /// serving state's base or folded segments changed since `snap` was
-  /// captured. Safe to run concurrently with queries and appends.
-  Result<bool> FoldSegments(const std::shared_ptr<const ServingState>& snap,
-                            size_t folded, Executor* exec);
-
-  /// Minor compaction: merges the first `folded` segments of `snap` into
-  /// one segment (same discard semantics as FoldSegments).
-  Result<bool> MergeSegmentRun(
-      const std::shared_ptr<const ServingState>& snap, size_t folded,
-      Executor* exec);
-
-  // Base tree / SAX array of the current snapshot. For quiescent
-  // callers (tests, persistence): the references are only stable while
-  // nothing publishes a new snapshot.
-  const SaxTree& tree() const { return *dock_.get()->base; }
+  /// Flat SAX array of the current snapshot's base. For quiescent
+  /// callers (tests): the reference is only stable while nothing
+  /// publishes a new snapshot.
   const FlatSaxCache& cache() const { return *dock_.get()->cache; }
-  const SaxTreeOptions& tree_options() const { return tree_options_; }
+  /// Pipeline timings and tree shape of the bulk build (zero after a
+  /// snapshot restore).
   const ParisBuildStats& build_stats() const { return build_stats_; }
-  RawSeriesSource* raw_source() const { return source_.get(); }
-  LeafStorage* leaf_storage() const { return leaf_storage_.get(); }
-  /// Series in the indexed collection (as of the current snapshot).
-  size_t series_count() const { return dock_.get()->count; }
 
  private:
   explicit ParisIndex(const SaxTreeOptions& tree_options)
-      : tree_options_(tree_options) {}
+      : SegmentedIndex(tree_options, /*flat_sax=*/true) {}
 
   friend class ParisBuilder;
-  /// Snapshot restore (src/persist/) reconstructs the serving state.
+  /// Snapshot restore (src/persist/) constructs restored indexes.
   friend class SnapshotReader;
 
-  SaxTreeOptions tree_options_;
-  std::unique_ptr<RawSeriesSource> source_;
-  std::unique_ptr<LeafStorage> leaf_storage_;
-  /// The serving snapshot publication point (see segment.h).
-  ServingDock dock_;
   ParisBuildStats build_stats_;
 };
 

@@ -682,51 +682,29 @@ class SnapshotReader {
     return Status::OK();
   }
 
-  static Result<std::unique_ptr<MessiIndex>> LoadMessi(
+  /// The one restore body behind LoadMessiIndex and LoadParisIndex.
+  template <typename Index>
+  static Result<std::unique_ptr<Index>> Load(
       const std::string& path, std::unique_ptr<RawSeriesSource> source,
       Executor* exec) {
     std::vector<SnapshotChainEntry> chain;
     PARISAX_ASSIGN_OR_RETURN(chain, ReadSnapshotChain(path));
     const SnapshotInfo& head = chain.back().info;
-    if (head.kind != SnapshotKind::kMessi) {
+    auto index = std::unique_ptr<Index>(new Index(head.tree));
+    SegmentedIndex* core = index.get();
+    if (head.kind != SnapshotKindOf(*core)) {
       return Status::InvalidArgument(
-          "snapshot does not hold a MESSI index: " + path);
+          std::string("snapshot does not hold a ") +
+          (core->flat_sax() ? "ParIS" : "MESSI") + " index: " + path);
     }
     PARISAX_RETURN_IF_ERROR(CheckSourceShape(head, *source));
-    auto index = std::unique_ptr<MessiIndex>(new MessiIndex(head.tree));
-    PARISAX_RETURN_IF_ERROR(index->AttachSource(std::move(source)));
-    auto state = std::make_shared<ServingState>();
-    PARISAX_RETURN_IF_ERROR(RestoreChain(
-        chain, exec, state.get(), &index->build_stats_.tree));
-    state->raw = RawDataView{index->source_->ContiguousData(),
-                             head.tree.series_length};
-    index->dock_.Publish(std::move(state));
-    return index;
-  }
-
-  static Result<std::unique_ptr<ParisIndex>> LoadParis(
-      const std::string& path, std::unique_ptr<RawSeriesSource> source,
-      Executor* exec) {
-    std::vector<SnapshotChainEntry> chain;
-    PARISAX_ASSIGN_OR_RETURN(chain, ReadSnapshotChain(path));
-    const SnapshotInfo& head = chain.back().info;
-    if (head.kind != SnapshotKind::kParis) {
-      return Status::InvalidArgument(
-          "snapshot does not hold a ParIS index: " + path);
-    }
-    PARISAX_RETURN_IF_ERROR(CheckSourceShape(head, *source));
-    auto index = std::unique_ptr<ParisIndex>(new ParisIndex(head.tree));
-    index->source_ = std::move(source);
-    // Leaves were inlined at save time; the restored index never needs a
+    PARISAX_RETURN_IF_ERROR(core->AttachSource(std::move(source)));
+    // Leaves were inlined at save time; a restored index never needs a
     // LeafStorage.
     auto state = std::make_shared<ServingState>();
-    PARISAX_RETURN_IF_ERROR(RestoreChain(
-        chain, exec, state.get(), &index->build_stats_.tree));
-    // Streamed sources have no contiguous block; raw.base stays null and
-    // queries fetch through the source, exactly as after a build.
-    state->raw = RawDataView{index->source_->ContiguousData(),
-                             head.tree.series_length};
-    index->dock_.Publish(std::move(state));
+    PARISAX_RETURN_IF_ERROR(
+        RestoreChain(chain, exec, state.get(), &core->tree_stats_));
+    core->PublishInitial(std::move(state));
     return index;
   }
 };
@@ -844,7 +822,7 @@ Status ValidateDeltaOptions(const SnapshotDeltaSaveOptions& options,
 
 }  // namespace
 
-Status SaveIndex(const MessiIndex& index, const std::string& path,
+Status SaveIndex(const SegmentedIndex& index, const std::string& path,
                  Executor* exec, const SnapshotSaveOptions& options) {
   // One coherent snapshot for the whole save (the Engine additionally
   // holds its append mutex, so nothing publishes meanwhile).
@@ -854,28 +832,13 @@ Status SaveIndex(const MessiIndex& index, const std::string& path,
         "full snapshot requires a fully folded index: fold the live "
         "segments first");
   }
-  return SaveSnapshot(SnapshotKind::kMessi, options.algorithm,
-                      *snap->base, /*sax_rows=*/nullptr,
-                      /*sax_row_count=*/0, /*storage=*/nullptr,
-                      snap->count, snap->base->PresentRoots(),
-                      /*link=*/"", path, exec);
-}
-
-Status SaveIndex(const ParisIndex& index, const std::string& path,
-                 Executor* exec, const SnapshotSaveOptions& options) {
-  const auto snap = index.serving();
-  if (!snap->segments.empty()) {
-    return Status::InvalidArgument(
-        "full snapshot requires a fully folded index: fold the live "
-        "segments first");
-  }
-  return SaveSnapshot(SnapshotKind::kParis, options.algorithm,
-                      *snap->base,
-                      snap->cache->count() > 0 ? &snap->cache->At(0)
-                                               : nullptr,
-                      snap->cache->count(), index.leaf_storage(),
-                      snap->count, snap->base->PresentRoots(),
-                      /*link=*/"", path, exec);
+  // Only the ParIS family has a flat SAX array; it saves every row.
+  const FlatSaxCache* cache = snap->cache.get();
+  const uint64_t sax_rows = cache != nullptr ? cache->count() : 0;
+  return SaveSnapshot(SnapshotKindOf(index), options.algorithm, *snap->base,
+                      sax_rows > 0 ? &cache->At(0) : nullptr, sax_rows,
+                      index.leaf_storage(), snap->count,
+                      snap->base->PresentRoots(), /*link=*/"", path, exec);
 }
 
 Status SaveSegmentDelta(SnapshotKind kind, const Segment& segment,
@@ -904,13 +867,13 @@ Status SaveSegmentDelta(SnapshotKind kind, const Segment& segment,
 Result<std::unique_ptr<MessiIndex>> LoadMessiIndex(
     const std::string& path, std::unique_ptr<RawSeriesSource> source,
     Executor* exec) {
-  return SnapshotReader::LoadMessi(path, std::move(source), exec);
+  return SnapshotReader::Load<MessiIndex>(path, std::move(source), exec);
 }
 
 Result<std::unique_ptr<ParisIndex>> LoadParisIndex(
     const std::string& path, std::unique_ptr<RawSeriesSource> source,
     Executor* exec) {
-  return SnapshotReader::LoadParis(path, std::move(source), exec);
+  return SnapshotReader::Load<ParisIndex>(path, std::move(source), exec);
 }
 
 }  // namespace parisax

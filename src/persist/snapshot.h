@@ -40,6 +40,7 @@
 
 #include "index/raw_source.h"
 #include "index/segment.h"
+#include "index/segmented_index.h"
 #include "index/tree.h"
 #include "messi/messi_index.h"
 #include "paris/paris_index.h"
@@ -145,18 +146,20 @@ struct SnapshotChainEntry {
 Result<std::vector<SnapshotChainEntry>> ReadSnapshotChain(
     const std::string& head_path);
 
-/// Serializes a MESSI index to `path`, replacing any existing file.
+/// The snapshot kind an index serializes as: the ParIS family (flat SAX
+/// rows) writes kParis, MESSI kMessi.
+inline SnapshotKind SnapshotKindOf(const SegmentedIndex& index) {
+  return index.flat_sax() ? SnapshotKind::kParis : SnapshotKind::kMessi;
+}
+
+/// Serializes a MESSI or ParIS/ParIS+ index (tree, plus the flat SAX
+/// array for the ParIS family) to `path`, replacing any existing file.
 /// The serving snapshot must be fully folded (no live segments — the
 /// Engine folds before a full save); subtrees are serialized in
-/// parallel on `exec`.
-Status SaveIndex(const MessiIndex& index, const std::string& path,
-                 Executor* exec, const SnapshotSaveOptions& options = {});
-
-/// Serializes a ParIS/ParIS+ index (tree + flat SAX array); requires a
-/// fully folded serving snapshot, like the MESSI overload. Leaves with
-/// chunks materialized in LeafStorage are inlined, so the snapshot is
-/// self-contained and the restored index never touches the .leaves file.
-Status SaveIndex(const ParisIndex& index, const std::string& path,
+/// parallel on `exec`. Leaves with chunks materialized in LeafStorage
+/// are inlined, so the snapshot is self-contained and the restored
+/// index never touches the .leaves file.
+Status SaveIndex(const SegmentedIndex& index, const std::string& path,
                  Executor* exec, const SnapshotSaveOptions& options = {});
 
 /// Writes a version-3 delta snapshot holding exactly `segment` — the

@@ -41,21 +41,6 @@ class AlignedBuffer {
 
   ~AlignedBuffer() { Free(); }
 
-  /// Grows the buffer to hold at least `count` elements, preserving the
-  /// first `preserved` elements (the rest is zero-initialized). The new
-  /// capacity is max(count, 2 * preserved), so repeated small growths
-  /// cost amortized O(1) copying per element. No-op when `count`
-  /// already fits. May reallocate: previously obtained pointers are
-  /// invalidated.
-  void GrowTo(size_t count, size_t preserved) {
-    if (count <= count_) return;
-    AlignedBuffer<T> grown(count > 2 * preserved ? count : 2 * preserved);
-    if (preserved > 0) {
-      std::memcpy(grown.data(), data_, preserved * sizeof(T));
-    }
-    *this = std::move(grown);
-  }
-
   /// Discards current contents and allocates `count` elements
   /// (zero-initialized).
   void Allocate(size_t count) {

@@ -148,11 +148,9 @@ TEST(AppendTest, AppendMatchesFromScratchBuild) {
     EXPECT_EQ((*grown)->series_count(), full.count());
     EXPECT_EQ((*grown)->append_epoch(), 2u);
     // build_report() stays the *initial* build's; post-append tree
-    // stats live on the index.
-    const TreeStats& tree = a == Algorithm::kMessi
-                                ? (*grown)->messi_index()->build_stats().tree
-                                : (*grown)->paris_index()->build_stats().tree;
-    EXPECT_EQ(tree.total_entries, full.count());
+    // stats live on the index core.
+    EXPECT_EQ((*grown)->segmented_index()->tree_stats().total_entries,
+              full.count());
 
     ExpectQueryEquivalence(scratch->get(), grown->get(), queries,
                            AlgorithmName(a));

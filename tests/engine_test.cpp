@@ -292,6 +292,34 @@ TEST(EngineTest, StreamedSourceNarrowsCapabilities) {
   std::remove(path.c_str());
 }
 
+TEST(EngineTest, LeafStorageNarrowsBackgroundCompaction) {
+  // An explicit leaf_storage_path gives a ParIS+ engine over an
+  // in-memory source on-disk leaves, which fold only synchronously: the
+  // capability must not promise a compactor the engine never starts.
+  const std::string leaves = ::testing::TempDir() + "/engine_caps.leaves";
+  const std::string snap = ::testing::TempDir() + "/engine_caps.snap";
+  EngineOptions options = BaseOptions(Algorithm::kParisPlus);
+  options.leaf_storage_path = leaves;
+  options.compaction_trigger_segments = 2;
+  auto engine = Engine::Build(SourceSpec::InMemory(MakeData(400)), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_TRUE((*engine)->capabilities().append);
+  EXPECT_FALSE((*engine)->capabilities().background_compaction);
+
+  for (uint64_t i = 0; i < 8; ++i) {
+    const Dataset batch =
+        GenerateQueries(DatasetKind::kRandomWalk, 20, 64, 80 + i);
+    ASSERT_TRUE((*engine)->Append(batch).ok());
+  }
+  EXPECT_EQ((*engine)->compaction_count(), 0u);
+  // The synchronous path still folds everything.
+  ASSERT_TRUE((*engine)->Compact(snap).ok());
+  EXPECT_GT((*engine)->compaction_count(), 0u);
+  EXPECT_EQ((*engine)->series_count(), 560u);
+  std::remove(leaves.c_str());
+  std::remove(snap.c_str());
+}
+
 TEST(EngineTest, MmapBuildMatchesInMemoryBuildExactly) {
   // The ROADMAP item this PR delivers: Engine::Build over an mmap source
   // runs the full MESSI / ParIS+ construction with no in-RAM copy of the

@@ -19,8 +19,6 @@
 #include "index/segment.h"
 #include "io/format.h"
 #include "io/generator.h"
-#include "messi/messi_index.h"
-#include "paris/paris_index.h"
 #include "persist/snapshot.h"
 #include "support/temp_dir.h"
 
@@ -62,10 +60,7 @@ EngineOptions BaseOptions(Algorithm algorithm) {
 }
 
 std::shared_ptr<const ServingState> Serving(Engine* engine) {
-  if (engine->messi_index() != nullptr) {
-    return engine->messi_index()->serving();
-  }
-  return engine->paris_index()->serving();
+  return engine->segmented_index()->serving();
 }
 
 void ExpectSameResponse(const SearchResponse& want,
@@ -247,6 +242,79 @@ TEST(SegmentTest, OpenRestoresLiveSegments) {
     ExpectQueryEquivalence(engine->get(), restored->get(), queries,
                            tag + "/reopened");
     for (const std::string& p : {data_path, base_snap, delta_snap}) {
+      std::remove(p.c_str());
+    }
+  }
+}
+
+TEST(SegmentTest, DeltaSaveReSectionsAMergeStraddlingTheHead) {
+  // A minor merge that spans the last saved head leaves no live segment
+  // starting at the head, so the next delta save must cut [head, count)
+  // out of the merged segment — and the chain must still reopen
+  // answering exactly like a from-scratch build.
+  const Dataset full = MakeData(750, 261);
+  const Dataset queries =
+      GenerateQueries(DatasetKind::kRandomWalk, 5, kLength, 262);
+  for (const Algorithm a : {Algorithm::kMessi, Algorithm::kParisPlus}) {
+    const std::string tag = std::string(AlgorithmName(a));
+    const std::string data_path = TempPath(tag + "_straddle.psax");
+    const std::string base_snap = TempPath(tag + "_straddle_base.snap");
+    const std::string head_snap = TempPath(tag + "_straddle_head.snap");
+    const std::string tail_snap = TempPath(tag + "_straddle_tail.snap");
+    ASSERT_TRUE(WriteDataset(Slice(full, 0, 600), data_path).ok());
+
+    EngineOptions options = BaseOptions(a);
+    options.compaction_trigger_segments = 3;
+    // A 150-series tail against a 600-series base: 150 * 1.0 < 600, so
+    // the compactor merges the run into one segment instead of folding.
+    options.size_tier_ratio = 1.0;
+    auto engine = Engine::Build(SourceSpec::Mmap(data_path), options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->capabilities().background_compaction);
+
+    ASSERT_TRUE((*engine)->Save(base_snap).ok());
+    ASSERT_TRUE((*engine)->Append(Slice(full, 600, 50)).ok());
+    ASSERT_TRUE((*engine)->Save(head_snap).ok());  // head at 650, mid-tail
+
+    const uint64_t compactions = (*engine)->compaction_count();
+    ASSERT_TRUE((*engine)->Append(Slice(full, 650, 50)).ok());
+    ASSERT_TRUE((*engine)->Append(Slice(full, 700, 50)).ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while ((*engine)->compaction_count() == compactions &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_GT((*engine)->compaction_count(), compactions) << tag;
+    const auto merged = Serving(engine->get());
+    EXPECT_EQ(merged->base_count, 600u);
+    ASSERT_EQ(merged->segments.size(), 1u) << tag;
+    EXPECT_EQ(merged->segments[0]->first, 600u);
+    EXPECT_EQ(merged->segments[0]->count, 150u);
+
+    ASSERT_TRUE((*engine)->Save(tail_snap).ok());
+    auto info = ReadSnapshotInfo(tail_snap);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_TRUE(info->is_delta);
+    EXPECT_EQ(info->prev_series_count, 650u);
+    EXPECT_EQ(info->series_count, 750u);
+
+    auto restored = Engine::Open(tail_snap, data_path);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    const auto serving = Serving(restored->get());
+    EXPECT_EQ(serving->base_count, 600u);
+    ASSERT_EQ(serving->segments.size(), 2u);
+    EXPECT_EQ(serving->segments[1]->first, 650u);
+    EXPECT_EQ(serving->segments[1]->count, 100u);
+
+    auto scratch = Engine::Build(
+        SourceSpec::InMemory(Slice(full, 0, full.count())),
+        BaseOptions(a));
+    ASSERT_TRUE(scratch.ok());
+    ExpectQueryEquivalence(scratch->get(), restored->get(), queries,
+                           tag + "/resectioned");
+    for (const std::string& p :
+         {data_path, base_snap, head_snap, tail_snap}) {
       std::remove(p.c_str());
     }
   }
