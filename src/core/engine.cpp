@@ -703,9 +703,10 @@ Result<SearchResponse> Engine::Search(SeriesView query,
   ReaderLock gate(&index_gate_);
   PARISAX_RETURN_IF_ERROR(CheckQuery(query, request));
   // Entry deadline check, covering every algorithm. The index engines
-  // additionally poll the token inside their hot loops (MESSI per leaf
-  // visit, ParIS per batch); the scan engines and ADS+ run to
-  // completion once admitted.
+  // additionally poll the token inside their hot loops (MESSI every 64
+  // node visits while traversing and per popped leaf while refining,
+  // ParIS per batch); the scan engines and ADS+ run to completion once
+  // admitted.
   if (Expired(request.cancel)) {
     return Status::DeadlineExceeded("query deadline expired before search");
   }

@@ -97,10 +97,11 @@ struct SearchRequest {
   /// Sakoe-Chiba radius in points for DTW searches.
   size_t dtw_band = 12;
   /// Optional cancel/deadline token, owned by the caller and kept alive
-  /// for the whole search. The index engines (MESSI, ParIS/ParIS+) poll
-  /// it at leaf-visit / batch granularity inside their hot loops and the
-  /// search returns kDeadlineExceeded instead of a partial answer; the
-  /// scan engines and ADS+ only check it on entry. Null: never expires.
+  /// for the whole search. The index engines poll it inside their hot
+  /// loops (MESSI every 64 tree-node visits and per refined leaf,
+  /// ParIS/ParIS+ per batch) and the search returns kDeadlineExceeded
+  /// instead of a partial answer; the scan engines and ADS+ only check
+  /// it on entry. Null: never expires.
   const CancellationToken* cancel = nullptr;
   /// Optional cross-search pruning bound, owned by the caller and kept
   /// alive for the whole search. When set, the index engines fold its

@@ -177,9 +177,10 @@ Result<Neighbor> AdsIndex::SearchExact(SeriesView query,
 
   // Phase 2: serial mindist filtering over the flat SAX array.
   WallTimer filter;
+  const MinDistTable lbs(paa, paa, w, n);
   std::vector<SeriesId> candidates;
   for (SeriesId i = 0; i < cache_.count(); ++i) {
-    const float lb = MinDistPaaToSymbolsSq(paa, cache_.At(i), w, n);
+    const float lb = lbs.ToSymbolsSq(cache_.At(i));
     if (lb < best.distance_sq) candidates.push_back(i);
   }
   if (stats != nullptr) {

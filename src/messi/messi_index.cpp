@@ -1,7 +1,6 @@
 #include "messi/messi_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -39,22 +38,14 @@ struct SharedQueue {
   bool done PARISAX_GUARDED_BY(mu) = false;
 };
 
-struct AtomicCounters {
-  std::atomic<uint64_t> lb_checks{0};
-  std::atomic<uint64_t> real_dist_calcs{0};
-  std::atomic<uint64_t> nodes_visited{0};
-  std::atomic<uint64_t> leaves_inspected{0};
-  std::atomic<uint64_t> queue_abandons{0};
+/// Root subtrees a Stage-3a worker claims per Fetch&Inc: one shared
+/// increment per batch instead of per root (~18k roots at 300k series).
+constexpr size_t kRootBatch = 32;
 
-  void FlushInto(QueryStats* stats) const {
-    if (stats == nullptr) return;
-    stats->lb_checks += lb_checks.load();
-    stats->real_dist_calcs += real_dist_calcs.load();
-    stats->nodes_visited += nodes_visited.load();
-    stats->leaves_inspected += leaves_inspected.load();
-    stats->queue_abandons += queue_abandons.load();
-  }
-};
+/// Stage-3a node visits between cancellation polls: a deadline costs one
+/// clock read per this many nodes, and a deep subtree still stops within
+/// a bounded number of visits.
+constexpr uint32_t kNodesPerCancelPoll = 64;
 
 /// Root subtrees of one serving snapshot: the base's present roots
 /// followed by every segment's. Stage 3 treats them as one flat forest
@@ -78,91 +69,109 @@ std::vector<Node*> CollectRoots(const ServingState& snap) {
 /// node/entry lower bounds and the entry refinement:
 ///   float Bound() const;
 ///   float NodeLb(const Node&) const;
-///   void ProcessEntry(const LeafEntry&, AtomicCounters*, int worker);
+///   void ProcessEntry(const LeafEntry&, QueryStats*, int worker);
 /// Everything mutable lives in the policy or on this stack frame, so any
 /// number of queued searches can run concurrently on different
-/// executors.
+/// executors. Workers share nothing per node, leaf or entry but the
+/// policy's bound and the queue they push to or pop from: each counts
+/// into a QueryStats of its own and merges it into its slot once per
+/// stage; the slots are summed into `stats` (nullable) at the end.
 template <typename Policy>
 void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
-                     int num_queues, Executor* exec,
-                     AtomicCounters* counters,
+                     int num_queues, Executor* exec, QueryStats* stats,
                      const CancellationToken* cancel = nullptr) {
   std::vector<SharedQueue> queues(num_queues);
-  std::atomic<uint64_t> round_robin{0};
+  const int k_queues = static_cast<int>(queues.size());
+  std::vector<QueryStats> worker_stats(exec->num_threads());
 
   // Stage 3a: parallel traversal, leaves into queues (round-robin for
-  // load balance, as in the paper). Workers poll the cancel token per
-  // node visit and bail out; the caller turns an expired token into
-  // kDeadlineExceeded instead of returning the partial bound.
+  // load balance, as in the paper; worker i starts at queue i). Roots
+  // are claimed in batches. Workers poll the cancel token every
+  // kNodesPerCancelPoll node visits and bail out; the caller turns an
+  // expired token into kDeadlineExceeded instead of returning the
+  // partial bound.
   WorkCounter root_counter(roots.size());
-  exec->Run([&](int) {
-    std::vector<Node*> stack;
-    size_t item;
-    while (root_counter.NextItem(&item)) {
-      stack.push_back(roots[item]);
-      while (!stack.empty()) {
-        if (Expired(cancel)) return;
-        Node* node = stack.back();
-        stack.pop_back();
-        counters->nodes_visited.fetch_add(1, std::memory_order_relaxed);
-        const float lb = policy->NodeLb(*node);
-        if (lb >= policy->Bound()) continue;  // prune the whole subtree
-        if (node->IsLeaf()) {
-          if (node->entries().empty()) continue;
-          const uint64_t slot =
-              round_robin.fetch_add(1, std::memory_order_relaxed);
-          SharedQueue& q = queues[slot % queues.size()];
-          MutexLock lock(&q.mu);
-          q.pq.push(QueueItem{lb, node});
-        } else {
-          stack.push_back(node->child(0));
-          stack.push_back(node->child(1));
+  exec->Run([&](int worker) {
+    QueryStats local;
+    // The inner lambda's cancellation return still reaches the merge.
+    [&] {
+      std::vector<Node*> stack;
+      int next_queue = worker % k_queues;
+      uint32_t visits = 0;
+      size_t begin, end;
+      while (root_counter.NextBatch(kRootBatch, &begin, &end)) {
+        for (size_t r = begin; r < end; ++r) {
+          stack.push_back(roots[r]);
+          while (!stack.empty()) {
+            if (visits++ % kNodesPerCancelPoll == 0 && Expired(cancel)) {
+              return;
+            }
+            Node* node = stack.back();
+            stack.pop_back();
+            local.nodes_visited++;
+            const float lb = policy->NodeLb(*node);
+            if (lb >= policy->Bound()) continue;  // prune the whole subtree
+            if (node->IsLeaf()) {
+              if (node->entries().empty()) continue;
+              SharedQueue& q = queues[next_queue];
+              if (++next_queue == k_queues) next_queue = 0;
+              MutexLock lock(&q.mu);
+              q.pq.push(QueueItem{lb, node});
+            } else {
+              stack.push_back(node->child(0));
+              stack.push_back(node->child(1));
+            }
+          }
         }
       }
-    }
+    }();
+    worker_stats[worker].MergeCounters(local);
   });
 
   // Stage 3b: workers consume the queues; a queue whose minimum exceeds
   // the BSF is abandoned wholesale (everything below it is farther).
-  std::atomic<uint64_t> start_counter{0};
+  // The cancel token is polled once per popped leaf.
   exec->Run([&](int worker) {
-    const int k_queues = static_cast<int>(queues.size());
-    const int start = static_cast<int>(
-        start_counter.fetch_add(1, std::memory_order_relaxed) %
-        static_cast<uint64_t>(k_queues));
-    for (;;) {
-      bool all_done = true;
-      for (int offset = 0; offset < k_queues; ++offset) {
-        SharedQueue& q = queues[(start + offset) % k_queues];
-        for (;;) {
-          QueueItem item;
-          {
-            MutexLock lock(&q.mu);
-            if (q.done) break;
-            if (q.pq.empty()) {
-              q.done = true;
-              break;
+    QueryStats local;
+    [&] {
+      const int start = worker % k_queues;
+      for (;;) {
+        bool all_done = true;
+        for (int offset = 0; offset < k_queues; ++offset) {
+          SharedQueue& q = queues[(start + offset) % k_queues];
+          for (;;) {
+            QueueItem item;
+            {
+              MutexLock lock(&q.mu);
+              if (q.done) break;
+              if (q.pq.empty()) {
+                q.done = true;
+                break;
+              }
+              item = q.pq.top();
+              if (item.lb >= policy->Bound()) {
+                q.done = true;
+                local.queue_abandons++;
+                break;
+              }
+              q.pq.pop();
             }
-            item = q.pq.top();
-            if (item.lb >= policy->Bound()) {
-              q.done = true;
-              counters->queue_abandons.fetch_add(1,
-                                                 std::memory_order_relaxed);
-              break;
+            if (Expired(cancel)) return;
+            all_done = false;
+            local.leaves_inspected++;
+            for (const LeafEntry& e : item.leaf->entries()) {
+              policy->ProcessEntry(e, &local, worker);
             }
-            q.pq.pop();
-          }
-          if (Expired(cancel)) return;
-          all_done = false;
-          counters->leaves_inspected.fetch_add(1, std::memory_order_relaxed);
-          for (const LeafEntry& e : item.leaf->entries()) {
-            policy->ProcessEntry(e, counters, worker);
           }
         }
+        if (all_done) return;
       }
-      if (all_done) return;
-    }
+    }();
+    worker_stats[worker].MergeCounters(local);
   });
+
+  if (stats == nullptr) return;
+  for (const QueryStats& w : worker_stats) stats->MergeCounters(w);
 }
 
 /// Thread-safe single best neighbor (1-NN result set). When a shared
@@ -210,25 +219,20 @@ struct BestNeighbor {
 /// Exact-ED 1-NN policy.
 struct EdNnPolicy {
   RawDataView raw;
-  const float* paa;
-  int w;
-  size_t n;
+  const MinDistTable* lbs;
   KernelPolicy kernel;
   SeriesView query;
   BestNeighbor* result;
 
   float Bound() const { return result->Bound(); }
 
-  float NodeLb(const Node& node) const {
-    return MinDistPaaToWordSq(paa, node.word(), w, n);
-  }
+  float NodeLb(const Node& node) const { return lbs->ToWordSq(node.word()); }
 
-  void ProcessEntry(const LeafEntry& e, AtomicCounters* counters,
-                    int /*worker*/) {
-    counters->lb_checks.fetch_add(1, std::memory_order_relaxed);
+  void ProcessEntry(const LeafEntry& e, QueryStats* counts, int /*worker*/) {
+    counts->lb_checks++;
     const float bound = Bound();
-    if (MinDistPaaToSymbolsSq(paa, e.sax, w, n) >= bound) return;
-    counters->real_dist_calcs.fetch_add(1, std::memory_order_relaxed);
+    if (lbs->ToSymbolsSq(e.sax) >= bound) return;
+    counts->real_dist_calcs++;
     const float d = SquaredEuclideanEarlyAbandon(query, raw.series(e.id),
                                                  bound, kernel);
     if (d < bound) result->Offer(e.id, d);
@@ -241,9 +245,7 @@ struct EdNnPolicy {
 /// bound on the global k-th distance.
 struct EdKnnPolicy {
   RawDataView raw;
-  const float* paa;
-  int w;
-  size_t n;
+  const MinDistTable* lbs;
   KernelPolicy kernel;
   SeriesView query;
   KnnHeap* heap;
@@ -254,16 +256,13 @@ struct EdKnnPolicy {
     return shared != nullptr ? std::min(local, shared->Load()) : local;
   }
 
-  float NodeLb(const Node& node) const {
-    return MinDistPaaToWordSq(paa, node.word(), w, n);
-  }
+  float NodeLb(const Node& node) const { return lbs->ToWordSq(node.word()); }
 
-  void ProcessEntry(const LeafEntry& e, AtomicCounters* counters,
-                    int /*worker*/) {
-    counters->lb_checks.fetch_add(1, std::memory_order_relaxed);
+  void ProcessEntry(const LeafEntry& e, QueryStats* counts, int /*worker*/) {
+    counts->lb_checks++;
     const float bound = Bound();
-    if (MinDistPaaToSymbolsSq(paa, e.sax, w, n) >= bound) return;
-    counters->real_dist_calcs.fetch_add(1, std::memory_order_relaxed);
+    if (lbs->ToSymbolsSq(e.sax) >= bound) return;
+    counts->real_dist_calcs++;
     const float d = SquaredEuclideanEarlyAbandon(query, raw.series(e.id),
                                                  bound, kernel);
     if (d < bound) {
@@ -277,12 +276,10 @@ struct EdKnnPolicy {
 /// LB_Keogh and finally early-abandoning banded DTW.
 struct DtwNnPolicy {
   RawDataView raw;
-  const float* env_lower_paa;
-  const float* env_upper_paa;
+  /// Envelope-PAA bounds (the MinDistEnvelopePaaTo* form).
+  const MinDistTable* lbs;
   const std::vector<Value>* env_lower;
   const std::vector<Value>* env_upper;
-  int w;
-  size_t n;
   size_t band;
   SeriesView query;
   BestNeighbor* result;
@@ -292,22 +289,15 @@ struct DtwNnPolicy {
 
   float Bound() const { return result->Bound(); }
 
-  float NodeLb(const Node& node) const {
-    return MinDistEnvelopePaaToWordSq(env_lower_paa, env_upper_paa,
-                                      node.word(), w, n);
-  }
+  float NodeLb(const Node& node) const { return lbs->ToWordSq(node.word()); }
 
-  void ProcessEntry(const LeafEntry& e, AtomicCounters* counters,
-                    int worker) {
-    counters->lb_checks.fetch_add(1, std::memory_order_relaxed);
+  void ProcessEntry(const LeafEntry& e, QueryStats* counts, int worker) {
+    counts->lb_checks++;
     float bound = Bound();
-    if (MinDistEnvelopePaaToSymbolsSq(env_lower_paa, env_upper_paa, e.sax, w,
-                                      n) >= bound) {
-      return;
-    }
+    if (lbs->ToSymbolsSq(e.sax) >= bound) return;
     const SeriesView candidate = raw.series(e.id);
     if (LbKeoghSq(*env_lower, *env_upper, candidate, bound) >= bound) return;
-    counters->real_dist_calcs.fetch_add(1, std::memory_order_relaxed);
+    counts->real_dist_calcs++;
     bound = Bound();
     const float d =
         DtwBand(query, candidate, band, bound, &(*scratches)[worker]);
@@ -436,14 +426,12 @@ Result<Neighbor> MessiIndex::SearchExact(SeriesView query,
   }
 
   BestNeighbor result(seed, options.shared_bound);
-  EdNnPolicy policy{snap->raw, paa, w, n, options.kernel, query, &result};
-  AtomicCounters counters;
+  const MinDistTable lbs(paa, paa, w, n);
+  EdNnPolicy policy{snap->raw, &lbs, options.kernel, query, &result};
   const int num_queues =
       options.num_queues > 0 ? options.num_queues : options.num_workers;
   const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, &policy, num_queues, exec, &counters,
-                  options.cancel);
-  counters.FlushInto(stats);
+  RunQueuedSearch(roots, &policy, num_queues, exec, stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");
@@ -486,15 +474,13 @@ Result<std::vector<Neighbor>> MessiIndex::SearchKnn(
     options.shared_bound->UpdateMin(heap.Bound());
   }
 
-  EdKnnPolicy policy{snap->raw, paa,   w,     n,
-                     options.kernel, query, &heap, options.shared_bound};
-  AtomicCounters counters;
+  const MinDistTable lbs(paa, paa, w, n);
+  EdKnnPolicy policy{snap->raw, &lbs,  options.kernel,
+                     query,     &heap, options.shared_bound};
   const int num_queues =
       options.num_queues > 0 ? options.num_queues : options.num_workers;
   const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, &policy, num_queues, exec, &counters,
-                  options.cancel);
-  counters.FlushInto(stats);
+  RunQueuedSearch(roots, &policy, num_queues, exec, stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");
@@ -550,17 +536,13 @@ Result<Neighbor> MessiIndex::SearchExactDtw(SeriesView query,
   for (const auto& seg : snap->segments) seed_from(seg->tree);
 
   BestNeighbor result(seed, options.shared_bound);
-  DtwNnPolicy policy{snap->raw,       env_lower_paa, env_upper_paa,
-                     &env_lower,      &env_upper,    w,
-                     n,               options.dtw_band, query,
-                     &result,         &scratches};
-  AtomicCounters counters;
+  const MinDistTable lbs(env_lower_paa, env_upper_paa, w, n);
+  DtwNnPolicy policy{snap->raw,        &lbs,  &env_lower, &env_upper,
+                     options.dtw_band, query, &result,    &scratches};
   const int num_queues =
       options.num_queues > 0 ? options.num_queues : options.num_workers;
   const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, &policy, num_queues, exec, &counters,
-                  options.cancel);
-  counters.FlushInto(stats);
+  RunQueuedSearch(roots, &policy, num_queues, exec, stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");

@@ -10,10 +10,15 @@
 //
 // Query answering (Stage 3): seed the BSF from the approximate-match
 // leaf; workers traverse root subtrees pruning with mindist against the
-// BSF and push surviving leaves into K shared priority queues
-// (round-robin); workers then pop queues, abandoning a queue as soon as
-// its minimum exceeds the BSF, computing per-entry lower bounds and
-// early-abandoning real distances for what survives.
+// BSF and push surviving leaves into K shared priority queues; workers
+// then pop queues, abandoning a queue as soon as its minimum exceeds the
+// BSF, computing per-entry lower bounds and early-abandoning real
+// distances for what survives. Every node and entry bound is a lookup
+// in one per-query MinDistTable (sax/mindist.h). Workers contend only
+// on the queues and the BSF: roots are claimed in batches of 32 by
+// Fetch&Inc, worker i deals its leaves round-robin starting at queue i,
+// and each worker counts its work privately and merges the counts once
+// per stage.
 //
 // Incremental ingest (beyond the paper): the index serves an immutable
 // snapshot — the bulk-built base tree plus an ordered list of delta
@@ -70,8 +75,8 @@ struct MessiQueryOptions {
   KernelPolicy kernel = KernelPolicy::kAuto;
   /// Sakoe-Chiba band radius (points) for DTW searches.
   size_t dtw_band = 12;
-  /// Cancel/deadline token polled at leaf-visit granularity in Stage 3
-  /// (both the traversal and the queue-consumption loops); an expired
+  /// Cancel/deadline token polled in Stage 3: every 64 node visits of
+  /// the traversal and once per leaf popped from a queue. An expired
   /// search returns kDeadlineExceeded instead of a partial answer. The
   /// caller keeps the token alive; null never expires.
   const CancellationToken* cancel = nullptr;

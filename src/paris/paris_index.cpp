@@ -500,6 +500,7 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
   const float bsf0 = shared != nullptr
                          ? std::min(best.distance_sq, shared->Load())
                          : best.distance_sq;
+  const MinDistTable lbs(paa, paa, w, n);
   std::vector<SeriesId> candidates(snap->count);
   std::atomic<size_t> tail{0};
   {
@@ -509,7 +510,7 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
       while (counter.NextBatch(options.filter_grain, &begin, &end)) {
         if (Expired(options.cancel)) return;
         for (SeriesId i = begin; i < end; ++i) {
-          const float lb = MinDistPaaToSymbolsSq(paa, *sax_at(i), w, n);
+          const float lb = lbs.ToSymbolsSq(*sax_at(i));
           if (lb < bsf0) {
             candidates[tail.fetch_add(1, std::memory_order_relaxed)] = i;
           }

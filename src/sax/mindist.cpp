@@ -88,4 +88,24 @@ float MinDistEnvelopePaaToSymbolsSq(const float* env_lower_paa,
   return sum * (static_cast<float>(n) / static_cast<float>(w));
 }
 
+MinDistTable::MinDistTable(const float* lo, const float* hi, int w, size_t n)
+    : w_(w),
+      scale_(static_cast<float>(n) / static_cast<float>(w)),
+      gaps_(static_cast<size_t>(w) * kRegionsPerSegment) {
+  // IntervalGapSq over the degenerate interval [p, p] takes the same
+  // branches and rounds the same way as GapSq(p, ...), so one table form
+  // serves both the ED and the DTW bounds.
+  const BreakpointTable& table = BreakpointTable::Get();
+  float* row = gaps_.data();
+  for (int s = 0; s < w; ++s, row += kRegionsPerSegment) {
+    for (int bits = 1; bits <= kMaxCardBits; ++bits) {
+      float* level = row + LevelOffset(bits);
+      for (uint32_t sym = 0; sym < (1u << bits); ++sym) {
+        level[sym] = IntervalGapSq(lo[s], hi[s], table.RegionLow(bits, sym),
+                                   table.RegionHigh(bits, sym));
+      }
+    }
+  }
+}
+
 }  // namespace parisax

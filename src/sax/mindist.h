@@ -9,6 +9,7 @@
 #define PARISAX_SAX_MINDIST_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "sax/word.h"
 
@@ -36,6 +37,54 @@ float MinDistEnvelopePaaToWordSq(const float* env_lower_paa,
 float MinDistEnvelopePaaToSymbolsSq(const float* env_lower_paa,
                                     const float* env_upper_paa,
                                     const SaxSymbols& sax, int w, size_t n);
+
+/// The four functions above, answered by table lookup: built once per
+/// query, it holds the squared gap between the query's interval on each
+/// segment and every iSAX region at every cardinality (w x 510 floats,
+/// 32 KB at w = 16). A lookup adds the per-segment gaps in segment order
+/// and scales by n/w once at the end, exactly as the functions above do,
+/// so every bound it returns is bit-identical to theirs. Exact searches
+/// build one per query and evaluate every node and entry bound through
+/// it; one-shot callers keep the free functions.
+class MinDistTable {
+ public:
+  /// Tables over the query interval [lo[s], hi[s]] on segment s. For ED
+  /// pass the query PAA as both `lo` and `hi` (the MinDistPaaTo*
+  /// bounds); for DTW the envelope PAA min/max
+  /// (MinDistEnvelopePaaTo*).
+  MinDistTable(const float* lo, const float* hi, int w, size_t n);
+
+  /// Equals MinDistPaaToWordSq / MinDistEnvelopePaaToWordSq.
+  float ToWordSq(const SaxWord& word) const {
+    const float* row = gaps_.data();
+    float sum = 0.0f;
+    for (int s = 0; s < w_; ++s, row += kRegionsPerSegment) {
+      sum += row[LevelOffset(word.bits[s]) + word.symbols[s]];
+    }
+    return sum * scale_;
+  }
+
+  /// Equals MinDistPaaToSymbolsSq / MinDistEnvelopePaaToSymbolsSq.
+  float ToSymbolsSq(const SaxSymbols& sax) const {
+    const float* row = gaps_.data() + LevelOffset(kMaxCardBits);
+    float sum = 0.0f;
+    for (int s = 0; s < w_; ++s, row += kRegionsPerSegment) {
+      sum += row[sax.symbols[s]];
+    }
+    return sum * scale_;
+  }
+
+ private:
+  /// Regions at cardinalities 2^1..2^8: 2 + 4 + ... + 256.
+  static constexpr int kRegionsPerSegment = 2 * kMaxCardinality - 2;
+
+  /// First region of cardinality 2^bits within a segment's row.
+  static constexpr int LevelOffset(int bits) { return (1 << bits) - 2; }
+
+  int w_;
+  float scale_;
+  std::vector<float> gaps_;  ///< w rows of kRegionsPerSegment gaps
+};
 
 }  // namespace parisax
 

@@ -223,18 +223,26 @@ double QueryService::EstimateCost(const SearchRequest& request) const {
 
 void QueryService::Execute(Task task) {
   // Deadline enforcement at dequeue: a task that expired while queued
-  // completes with kDeadlineExceeded without touching the engine, so a
-  // backlog of dead work drains at queue-pop speed instead of
-  // occupying serve lanes.
+  // completes without touching the engine, so a backlog of dead work
+  // drains at queue-pop speed instead of occupying serve lanes. The
+  // admission rule still answers first, as Engine::Search does, so an
+  // unsupported request gets its typed rejection whatever the queue
+  // timing; otherwise the task answers kDeadlineExceeded.
   if (Expired(task.request.cancel)) {
+    const Status gate = CheckRequestAgainstCapabilities(
+        backend_->capabilities(), backend_->series_length(),
+        backend_->algorithm_name(),
+        SeriesView(task.query.data(), task.query.size()), task.request);
     {
       MutexLock lock(&stats_mu_);
-      stats_.expired_in_queue++;
+      if (gate.ok()) stats_.expired_in_queue++;
       stats_.completed++;
       stats_.inflight--;
     }
     task.promise.set_value(
-        Status::DeadlineExceeded("query deadline expired while queued"));
+        gate.ok()
+            ? Status::DeadlineExceeded("query deadline expired while queued")
+            : gate);
     inflight_.Done();
     return;
   }

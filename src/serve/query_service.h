@@ -77,10 +77,11 @@ struct SubmitOptions {
   QueryPriority priority = QueryPriority::kNormal;
   /// Relative deadline: the service wraps the query in a
   /// CancellationToken expiring `timeout` after submission. A task
-  /// whose deadline passes while queued completes with
-  /// kDeadlineExceeded at dequeue without running; one that expires
-  /// mid-search is cancelled at leaf/batch granularity by the index
-  /// engines. Zero: no deadline. Ignored when the request already
+  /// whose deadline passes while queued completes at dequeue without
+  /// running: with the admission rule's typed rejection when the
+  /// request is unsupported, otherwise with kDeadlineExceeded. One that
+  /// expires mid-search is cancelled by the index engines' hot-loop
+  /// polls (see SearchRequest::cancel). Zero: no deadline. Ignored when the request already
   /// carries a caller-owned `cancel` token (that token governs).
   std::chrono::nanoseconds timeout{0};
 };

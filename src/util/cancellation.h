@@ -1,9 +1,10 @@
 // Cooperative cancellation for long-running queries.
 //
 // A CancellationToken carries an explicit cancel flag and an optional
-// absolute deadline. The search hot loops poll `Expired()` at leaf-visit
-// (MESSI) or batch (ParIS) granularity and bail out early; the query
-// entry points then surface `StatusCode::kDeadlineExceeded` instead of a
+// absolute deadline. The search hot loops poll `Expired()` and bail out
+// early: MESSI every 64 node visits of its tree traversal and once per
+// leaf it refines, ParIS once per filter/refine batch. The query entry
+// points then surface `StatusCode::kDeadlineExceeded` instead of a
 // partial answer. Polling is cheap: one relaxed atomic load on the fast
 // path, with the clock consulted only until the first expiry (which
 // latches into the flag so later polls never touch the clock again).

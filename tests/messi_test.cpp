@@ -1,12 +1,15 @@
 // Tests for MESSI: build equivalence across worker counts and buffer
 // strategies (footnote-2 ablation), query correctness under varied queue
-// counts, pruning statistics, and the iSAX buffer set.
+// counts, Stage-3 counts under parallel workers, pruning statistics, and
+// the iSAX buffer set.
 #include "messi/messi_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "index/ads_index.h"
 #include "io/generator.h"
@@ -123,6 +126,78 @@ TEST(MessiTest, ExactSearchMatchesBruteForceAcrossQueueCounts) {
       EXPECT_NEAR(got->distance_sq, oracle.distance_sq,
                   1e-3f * std::max(1.0f, oracle.distance_sq))
           << "queues=" << queues << " q=" << q;
+    }
+  }
+}
+
+void ExpectSameNeighbors(const std::vector<Neighbor>& want,
+                         const std::vector<Neighbor>& got,
+                         const std::string& where) {
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].id, got[i].id) << where << " rank " << i;
+    EXPECT_EQ(want[i].distance_sq, got[i].distance_sq)
+        << where << " rank " << i;
+  }
+}
+
+TEST(MessiTest, ParallelStage3LosesNoCounts) {
+  // Stage 3a prunes against the seed bound, which does not change until
+  // 3b starts, so the nodes it visits do not depend on how many workers
+  // share the traversal. A 4-worker pool must therefore report exactly
+  // the inline search's nodes_visited: the per-worker counts merge
+  // without loss, also on the 24-series collection, whose few roots fit
+  // one claim batch and leave three workers with nothing to traverse.
+  ThreadPool pool(4);
+  InlineExecutor inline_exec;
+  for (const size_t count : {size_t{3000}, size_t{24}}) {
+    const Dataset data = MakeData(count);
+    auto index = MessiIndex::Build(Mem(data), SmallBuild(4), &pool);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    const InMemorySource source(&data);
+    const Dataset queries =
+        GenerateQueries(DatasetKind::kRandomWalk, 3, 64, 21);
+    for (size_t q = 0; q < queries.count(); ++q) {
+      const SeriesView query = queries.series(q);
+      for (const int queues : {1, 3, 4, 7}) {
+        MessiQueryOptions qopts;
+        qopts.num_workers = 4;
+        qopts.num_queues = queues;
+        const std::string where = "count=" + std::to_string(count) +
+                                  " q=" + std::to_string(q) +
+                                  " queues=" + std::to_string(queues);
+
+        QueryStats nn_inline, nn_pool;
+        auto nn_a = (*index)->SearchExact(query, qopts, &inline_exec,
+                                          &nn_inline);
+        auto nn_b = (*index)->SearchExact(query, qopts, &pool, &nn_pool);
+        ASSERT_TRUE(nn_a.ok() && nn_b.ok()) << where;
+        const Neighbor nn = BruteForceNn(source, query);
+        ExpectSameNeighbors({nn}, {*nn_a}, where + " ed-nn inline");
+        ExpectSameNeighbors({nn}, {*nn_b}, where + " ed-nn pool");
+        EXPECT_GT(nn_inline.nodes_visited, 0u) << where;
+        EXPECT_EQ(nn_inline.nodes_visited, nn_pool.nodes_visited) << where;
+
+        QueryStats knn_inline, knn_pool;
+        auto knn_a = (*index)->SearchKnn(query, 10, qopts, &inline_exec,
+                                         &knn_inline);
+        auto knn_b = (*index)->SearchKnn(query, 10, qopts, &pool, &knn_pool);
+        ASSERT_TRUE(knn_a.ok() && knn_b.ok()) << where;
+        const std::vector<Neighbor> knn = BruteForceKnn(source, query, 10);
+        ExpectSameNeighbors(knn, *knn_a, where + " ed-knn inline");
+        ExpectSameNeighbors(knn, *knn_b, where + " ed-knn pool");
+        EXPECT_EQ(knn_inline.nodes_visited, knn_pool.nodes_visited) << where;
+
+        QueryStats dtw_inline, dtw_pool;
+        auto dtw_a = (*index)->SearchExactDtw(query, qopts, &inline_exec,
+                                              &dtw_inline);
+        auto dtw_b = (*index)->SearchExactDtw(query, qopts, &pool, &dtw_pool);
+        ASSERT_TRUE(dtw_a.ok() && dtw_b.ok()) << where;
+        const Neighbor dtw = BruteForceDtwNn(source, query, qopts.dtw_band);
+        ExpectSameNeighbors({dtw}, {*dtw_a}, where + " dtw inline");
+        ExpectSameNeighbors({dtw}, {*dtw_b}, where + " dtw pool");
+        EXPECT_EQ(dtw_inline.nodes_visited, dtw_pool.nodes_visited) << where;
+      }
     }
   }
 }

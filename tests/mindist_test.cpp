@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "dist/dtw.h"
@@ -160,6 +163,123 @@ TEST(MindistTest, ScalesWithSeriesLength) {
   const float d128 = MinDistPaaToSymbolsSq(paa, sax, w, 128);
   EXPECT_GT(d64, 0.0f);
   EXPECT_NEAR(d128, 2.0f * d64, 1e-3f);
+}
+
+// --- MinDistTable ------------------------------------------------------------
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Segment values that exercise every branch of the reference gaps:
+/// values exactly on breakpoints (at coarse and fine cardinalities),
+/// just beside them, inside regions, and beyond the outermost 8-bit
+/// breakpoints where the edge regions are unbounded.
+std::vector<float> ProbeValues() {
+  const BreakpointTable& table = BreakpointTable::Get();
+  std::vector<float> values = {0.0f, -0.5f, 0.25f, 3.5f, -3.5f, 40.0f, -40.0f};
+  for (const int bits : {1, 2, 5, kMaxCardBits}) {
+    for (const double bp : table.Breakpoints(bits)) {
+      const float v = static_cast<float>(bp);
+      values.push_back(v);
+      values.push_back(std::nextafter(v, 1e9f));
+      values.push_back(std::nextafter(v, -1e9f));
+    }
+  }
+  return values;
+}
+
+/// Query intervals on w segments drawn from `values`: the ED form
+/// (lo == hi) when `degenerate`, otherwise an envelope-like [lo, hi].
+void DrawInterval(const std::vector<float>& values, int w, bool degenerate,
+                  Rng* rng, float* lo, float* hi) {
+  for (int s = 0; s < w; ++s) {
+    const float a = values[rng->NextBelow(values.size())];
+    const float b = values[rng->NextBelow(values.size())];
+    lo[s] = degenerate ? a : std::min(a, b);
+    hi[s] = degenerate ? a : std::max(a, b);
+  }
+}
+
+TEST(MinDistTableTest, BitIdenticalToReferenceFunctions) {
+  const std::vector<float> values = ProbeValues();
+  Rng rng(97);
+  for (const int w : {16, 8, 5}) {
+    for (const size_t n : {size_t{256}, size_t{61}}) {
+      for (const bool ed : {true, false}) {
+        for (int trial = 0; trial < 40; ++trial) {
+          float lo[kMaxSegments], hi[kMaxSegments];
+          DrawInterval(values, w, ed, &rng, lo, hi);
+          const MinDistTable table(lo, hi, w, n);
+          for (int word_trial = 0; word_trial < 200; ++word_trial) {
+            SaxSymbols sax;
+            SaxWord word;
+            for (int s = 0; s < w; ++s) {
+              sax.symbols[s] = static_cast<uint8_t>(rng.NextBelow(256));
+              word.bits[s] =
+                  static_cast<uint8_t>(1 + rng.NextBelow(kMaxCardBits));
+              word.symbols[s] = TruncateSymbol(sax.symbols[s], word.bits[s]);
+            }
+            const float want_symbols =
+                ed ? MinDistPaaToSymbolsSq(lo, sax, w, n)
+                   : MinDistEnvelopePaaToSymbolsSq(lo, hi, sax, w, n);
+            const float want_word =
+                ed ? MinDistPaaToWordSq(lo, word, w, n)
+                   : MinDistEnvelopePaaToWordSq(lo, hi, word, w, n);
+            ASSERT_TRUE(SameBits(table.ToSymbolsSq(sax), want_symbols))
+                << "w=" << w << " n=" << n << " ed=" << ed << " got "
+                << table.ToSymbolsSq(sax) << " want " << want_symbols;
+            ASSERT_TRUE(SameBits(table.ToWordSq(word), want_word))
+                << "w=" << w << " n=" << n << " ed=" << ed
+                << " word=" << word.ToString(w) << " got "
+                << table.ToWordSq(word) << " want " << want_word;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MinDistTableTest, EveryRegionOfEveryCardinalityMatches) {
+  // Exhaustive per level: each segment's query value sits on, beside or
+  // beyond a breakpoint, and every region at every cardinality (and
+  // every full 8-bit symbol) is looked up on every segment.
+  const std::vector<float> values = ProbeValues();
+  Rng rng(5);
+  for (const int w : {16, 8, 5}) {
+    for (const bool ed : {true, false}) {
+      for (int trial = 0; trial < 20; ++trial) {
+        float lo[kMaxSegments], hi[kMaxSegments];
+        DrawInterval(values, w, ed, &rng, lo, hi);
+        const MinDistTable table(lo, hi, w, 128);
+        for (int bits = 1; bits <= kMaxCardBits; ++bits) {
+          for (uint32_t sym = 0; sym < (1u << bits); ++sym) {
+            SaxWord word;
+            SaxSymbols sax;
+            for (int s = 0; s < w; ++s) {
+              // Segments rotate through the regions, so over all `sym`
+              // every segment meets every region of this cardinality.
+              const uint32_t seg_sym = (sym + s) & ((1u << bits) - 1);
+              word.bits[s] = static_cast<uint8_t>(bits);
+              word.symbols[s] = static_cast<uint8_t>(seg_sym);
+              sax.symbols[s] =
+                  static_cast<uint8_t>(seg_sym << (kMaxCardBits - bits));
+            }
+            const float want_word =
+                ed ? MinDistPaaToWordSq(lo, word, w, 128)
+                   : MinDistEnvelopePaaToWordSq(lo, hi, word, w, 128);
+            ASSERT_TRUE(SameBits(table.ToWordSq(word), want_word))
+                << "w=" << w << " bits=" << bits << " sym=" << sym;
+            if (bits == kMaxCardBits) {
+              const float want_symbols =
+                  ed ? MinDistPaaToSymbolsSq(lo, sax, w, 128)
+                     : MinDistEnvelopePaaToSymbolsSq(lo, hi, sax, w, 128);
+              ASSERT_TRUE(SameBits(table.ToSymbolsSq(sax), want_symbols))
+                  << "w=" << w << " sym=" << sym;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

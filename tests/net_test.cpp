@@ -385,15 +385,25 @@ TEST(AdmissionTest, QueuedQueryPastDeadlineAnswersTyped) {
     ASSERT_TRUE(r.ok());
     doomed.push_back(std::move(*r));
   }
+  // An expired request the engine would refuse anyway answers with the
+  // admission rule's typed rejection, not with the deadline.
+  SearchRequest dtw_knn;
+  dtw_knn.dtw = true;
+  dtw_knn.k = 2;
+  auto unsupported = (*service)->TrySubmit(queries.series(2), dtw_knn, submit);
+  ASSERT_TRUE(unsupported.ok());
   EXPECT_TRUE(slow.get().ok());
   for (auto& f : doomed) {
     auto response = f.get();
     ASSERT_FALSE(response.ok());
     EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded);
   }
+  auto refused = unsupported->get();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kNotSupported);
   const ServeStats stats = (*service)->stats();
   EXPECT_EQ(stats.expired_in_queue, doomed.size());
-  EXPECT_EQ(stats.completed, doomed.size() + 1);
+  EXPECT_EQ(stats.completed, doomed.size() + 2);
 }
 
 // --- end-to-end server -----------------------------------------------------
