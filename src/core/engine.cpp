@@ -47,6 +47,25 @@ Result<Algorithm> ParseAlgorithm(const std::string& name) {
   return Status::InvalidArgument("unknown algorithm: " + name);
 }
 
+const char* SchedulingPolicyName(SchedulingPolicy policy) {
+  switch (policy) {
+    case SchedulingPolicy::kThroughput:
+      return "throughput";
+    case SchedulingPolicy::kLatency:
+      return "latency";
+    case SchedulingPolicy::kAuto:
+      return "auto";
+  }
+  return "unknown";
+}
+
+Result<SchedulingPolicy> ParseSchedulingPolicy(const std::string& name) {
+  if (name == "throughput") return SchedulingPolicy::kThroughput;
+  if (name == "latency") return SchedulingPolicy::kLatency;
+  if (name == "auto") return SchedulingPolicy::kAuto;
+  return Status::InvalidArgument("unknown scheduling policy: " + name);
+}
+
 const EngineCapabilities& AlgorithmCapabilities(Algorithm algorithm) {
   // The single source of truth for what each engine family supports.
   // Engine::capabilities() narrows it by source residency; CheckQuery,
@@ -429,7 +448,6 @@ Result<std::unique_ptr<Engine>> Engine::OpenInternal(
 
   auto engine = std::unique_ptr<Engine>(new Engine(options));
   engine->series_length_ = info.tree.series_length;
-  engine->series_count_ = info.series_count;
   EngineOptions& opts = engine->options_;
   opts.algorithm = restored;
   opts.tree = info.tree;
@@ -658,11 +676,43 @@ EngineCapabilities Engine::capabilities() const {
   return caps;
 }
 
+Status CheckRequestAgainstCapabilities(const EngineCapabilities& caps,
+                                       size_t series_length,
+                                       const char* algorithm_name,
+                                       SeriesView query,
+                                       const SearchRequest& request) {
+  const std::string name(algorithm_name);
+  if (query.size() != series_length) {
+    return Status::InvalidArgument("query length does not match the data");
+  }
+  if (request.k == 0) return Status::InvalidArgument("k must be positive");
+  if (request.k > 1 && request.dtw && !caps.dtw_knn) {
+    return Status::NotSupported(name + " does not support k > 1 under DTW");
+  }
+  if (request.k > caps.max_k) {
+    return Status::NotSupported(name + " supports k <= " +
+                                std::to_string(caps.max_k) +
+                                " (capabilities().max_k)");
+  }
+  if (request.dtw && !caps.dtw) {
+    return Status::NotSupported(
+        name +
+        " does not support DTW search over this source "
+        "(capabilities().dtw is false)");
+  }
+  if (request.approximate && !caps.approximate) {
+    return Status::NotSupported(
+        name +
+        " does not support approximate search (capabilities().approximate "
+        "is false)");
+  }
+  return Status::OK();
+}
+
 Status Engine::CheckQuery(SeriesView query,
                           const SearchRequest& request) const {
-  // The shared admission rule (core/search_backend.h): keeping it one
-  // free function lets external oracles predict this engine's typed
-  // rejections exactly.
+  // The shared admission rule: keeping it one free function lets
+  // external oracles predict this engine's typed rejections exactly.
   return CheckRequestAgainstCapabilities(capabilities(), series_length_,
                                          AlgorithmName(options_.algorithm),
                                          query, request);
@@ -787,7 +837,6 @@ Result<SearchResponse> Engine::Search(SeriesView query,
         qopts.num_workers = exec->num_threads();
         qopts.kernel = options_.kernel;
         qopts.cancel = request.cancel;
-        qopts.shared_bound = request.shared_bound;
         PARISAX_ASSIGN_OR_RETURN(
             nn, paris_->SearchExact(query, qopts, exec, &response.stats));
       }
@@ -801,7 +850,6 @@ Result<SearchResponse> Engine::Search(SeriesView query,
       qopts.kernel = options_.kernel;
       qopts.dtw_band = request.dtw_band;
       qopts.cancel = request.cancel;
-      qopts.shared_bound = request.shared_bound;
       if (request.approximate) {
         Neighbor nn;
         PARISAX_ASSIGN_OR_RETURN(
@@ -877,14 +925,16 @@ Result<AppendReport> Engine::Append(const Value* values, size_t count) {
           index_->Append(values, count, pool_.get(), &touched));
     } else if (source_ != nullptr) {
       // Scan engines have no index: growing the source is the whole
-      // ingest.
+      // ingest. The count is published before the gate opens, so no
+      // query can see the new rows while series_count() still omits
+      // them.
       PARISAX_RETURN_IF_ERROR(source_->AppendSeries(values, count));
+      series_count_.fetch_add(count, std::memory_order_acq_rel);
     } else {
       return Status::Internal("ADS+ append slipped past the capability gate");
     }
   }
 
-  series_count_.fetch_add(count, std::memory_order_acq_rel);
   append_epoch_.fetch_add(1, std::memory_order_acq_rel);
 
   report.total_series = series_count();
@@ -984,6 +1034,30 @@ Status Engine::CompactionPass() {
     }
     compaction_count_.fetch_add(1, std::memory_order_acq_rel);
   }
+}
+
+Result<AppendReport> Engine::Append(const Dataset& batch) {
+  if (batch.count() > 0 && batch.length() != series_length()) {
+    return Status::InvalidArgument(
+        "appended series length does not match the collection");
+  }
+  return Append(batch.raw(), batch.count());
+}
+
+std::future<Result<SearchResponse>> Engine::Submit(
+    SeriesView query, const SearchRequest& request) {
+  return query_service()->Submit(query, request);
+}
+
+Result<std::future<Result<SearchResponse>>> Engine::TrySubmit(
+    SeriesView query, const SearchRequest& request,
+    const SubmitOptions& submit) {
+  return query_service()->TrySubmit(query, request, submit);
+}
+
+Result<std::vector<SearchResponse>> Engine::SearchBatch(
+    const std::vector<SeriesView>& queries, const SearchRequest& request) {
+  return query_service()->SearchBatch(queries, request);
 }
 
 QueryService* Engine::query_service() {

@@ -25,6 +25,7 @@
 #define PARISAX_CORE_ENGINE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -33,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/search_backend.h"
 #include "core/types.h"
 #include "dist/euclidean.h"
 #include "index/ads_index.h"
@@ -53,6 +53,9 @@
 
 namespace parisax {
 
+class QueryService;
+struct SubmitOptions;
+
 /// Similarity-search strategies available through Engine.
 enum class Algorithm {
   kBruteForce,   ///< full scan, no early abandoning (correctness oracle)
@@ -70,9 +73,60 @@ const char* AlgorithmName(Algorithm algorithm);
 /// Parses a name produced by AlgorithmName.
 Result<Algorithm> ParseAlgorithm(const std::string& name);
 
-/// The per-algorithm capability table (source-independent limits). The
-/// EngineCapabilities struct itself lives in core/search_backend.h with
-/// the rest of the serving-surface types.
+/// How the serve layer schedules concurrent queries over the shared
+/// worker pool (see serve/query_service.h).
+enum class SchedulingPolicy {
+  /// Whole-query-per-worker: each query runs serially on one serve
+  /// worker, many queries in flight at once. Maximizes queries/sec.
+  kThroughput,
+  /// Every query fans out over the full thread pool (the paper's
+  /// intra-query parallelism); queries are serialized on the pool.
+  /// Minimizes single-query latency.
+  kLatency,
+  /// Per-query choice by a cost heuristic: an expensive query takes the
+  /// parallel path when it is the only query in flight, everything else
+  /// runs whole-query-per-worker.
+  kAuto,
+};
+
+/// Short lowercase name ("throughput", "latency", "auto").
+const char* SchedulingPolicyName(SchedulingPolicy policy);
+
+/// Parses a name produced by SchedulingPolicyName.
+Result<SchedulingPolicy> ParseSchedulingPolicy(const std::string& name);
+
+/// What an engine can do: one static table per algorithm (see
+/// AlgorithmCapabilities), narrowed per instance by the source it was
+/// built over (Engine::capabilities). CheckQuery, Save and Build derive
+/// every typed kNotSupported rejection from this struct -- there are no
+/// per-call-site whitelists.
+struct EngineCapabilities {
+  /// Largest supported k for exact kNN searches (1: only 1-NN).
+  size_t max_k = 1;
+  /// Exact search under banded DTW.
+  bool dtw = false;
+  /// k > 1 under DTW (currently unimplemented everywhere).
+  bool dtw_knn = false;
+  /// Approximate (leaf-probe) search.
+  bool approximate = false;
+  /// Engine::Save / Engine::Open snapshot support.
+  bool snapshot = false;
+  /// Can build from a streamed, non-addressable source (the paper's
+  /// on-disk pipeline). Every algorithm builds over addressable
+  /// (in-memory or mmap) sources.
+  bool streaming_build = false;
+  /// Engine::Append incremental ingest: new series are added to the
+  /// owned source and indexed without rebuilding. Narrowed to false
+  /// when the source cannot grow (a borrowed collection).
+  bool append = false;
+  /// A background compactor folds delta segments back into the base
+  /// index off the serving path (see EngineOptions). Narrowed to false
+  /// when append is unavailable or the source is not addressable —
+  /// streamed engines fold synchronously in Save/Compact instead.
+  bool background_compaction = false;
+};
+
+/// The per-algorithm capability table (source-independent limits).
 const EngineCapabilities& AlgorithmCapabilities(Algorithm algorithm);
 
 /// Where an engine's raw series live, as far as the capability model is
@@ -196,6 +250,58 @@ class SourceSpec {
   std::unique_ptr<RawSeriesSource> custom_;  // kCustom
 };
 
+struct SearchRequest {
+  /// Number of nearest neighbors (bounded by capabilities().max_k).
+  size_t k = 1;
+  /// Return the approximate answer (index engines only): the best match
+  /// within the query's approximate-match leaf.
+  bool approximate = false;
+  /// Search under banded DTW instead of ED (capabilities().dtw).
+  bool dtw = false;
+  /// Sakoe-Chiba radius in points for DTW searches.
+  size_t dtw_band = 12;
+  /// Optional cancel/deadline token, owned by the caller and kept alive
+  /// for the whole search. The index engines poll it inside their hot
+  /// loops (MESSI every 64 tree-node visits and per refined leaf,
+  /// ParIS/ParIS+ per batch) and the search returns kDeadlineExceeded
+  /// instead of a partial answer; the scan engines and ADS+ only check
+  /// it on entry. Null: never expires.
+  const CancellationToken* cancel = nullptr;
+};
+
+struct SearchResponse {
+  /// Ascending (squared distance, id). Exactly min(k, collection size)
+  /// entries for exact searches.
+  std::vector<Neighbor> neighbors;
+  QueryStats stats;
+};
+
+/// The one request-admission rule: validates `query`/`request` against
+/// an engine's shape and capabilities and returns the typed rejection
+/// (kInvalidArgument for malformed requests, kNotSupported for
+/// capability gaps), or OK when the request must be served.
+/// Engine::Search applies exactly this function, so external oracles
+/// (the storm harness, tests/capability_gap_test.cpp) can predict an
+/// engine's rejection without a per-call-site whitelist.
+/// `algorithm_name` only flavors the error message.
+Status CheckRequestAgainstCapabilities(const EngineCapabilities& caps,
+                                       size_t series_length,
+                                       const char* algorithm_name,
+                                       SeriesView query,
+                                       const SearchRequest& request);
+
+/// Summary of one Engine::Append call.
+struct AppendReport {
+  /// Series added by this call.
+  size_t appended = 0;
+  /// Collection size after the call.
+  size_t total_series = 0;
+  /// Root subtrees of the published delta segment(s); 0 for scan
+  /// engines, which have no tree.
+  size_t touched_subtrees = 0;
+  double wall_seconds = 0.0;
+};
+
 /// Summary of an index build (empty tree stats for scan engines).
 struct BuildReport {
   double wall_seconds = 0.0;
@@ -204,7 +310,11 @@ struct BuildReport {
   std::string details;
 };
 
-class Engine : public SearchBackend {
+/// One algorithm over one source: every query, append and persistence
+/// path of the system goes through an Engine. Search (both overloads),
+/// Append, Save/Compact and every accessor are safe to call
+/// concurrently.
+class Engine {
  public:
   /// Builds a search engine over the described source. The engine owns
   /// the materialized source for its whole lifetime. Returns
@@ -243,7 +353,7 @@ class Engine : public SearchBackend {
   /// chain at its maximum length (64 deltas), or after compaction
   /// folded past the previous head writes a full snapshot instead —
   /// Save never fails for lineage reasons, it just compacts.
-  Status Save(const std::string& snapshot_path) override;
+  Status Save(const std::string& snapshot_path);
 
   /// Folds every live segment into the base index, then rewrites the
   /// engine's snapshot chain as one fresh full snapshot at
@@ -252,7 +362,7 @@ class Engine : public SearchBackend {
   /// Subsequent Saves chain deltas to the compacted file. This is the
   /// synchronous wrapper around what the background compactor does
   /// continuously.
-  Status Compact(const std::string& snapshot_path) override;
+  Status Compact(const std::string& snapshot_path);
 
   /// Incremental ingest: appends `batch` (same series length,
   /// z-normalized like the rest of the collection) to the engine's
@@ -275,49 +385,72 @@ class Engine : public SearchBackend {
   /// collection shape), so a process that dies between Append and Save
   /// pays a rebuild from the (intact, larger) dataset file. See
   /// docs/snapshot-format.md.
-  Result<AppendReport> Append(const Value* values, size_t count) override;
-  using SearchBackend::Append;  // the Dataset convenience overload
+  Result<AppendReport> Append(const Value* values, size_t count);
+
+  /// As above from a Dataset (validates the batch's series length).
+  Result<AppendReport> Append(const Dataset& batch);
 
   /// Number of Append calls that have completed (monotonic). Each
   /// append publishes a new index epoch to queries atomically.
-  uint64_t append_epoch() const override {
+  uint64_t append_epoch() const {
     return append_epoch_.load(std::memory_order_acquire);
   }
 
   /// Number of compaction actions (background passes and synchronous
   /// folds) that published a merged/folded snapshot. Monotonic;
   /// exported by the serving metrics layer.
-  uint64_t compaction_count() const override {
+  uint64_t compaction_count() const {
     return compaction_count_.load(std::memory_order_acquire);
   }
 
-  ~Engine() override;
+  ~Engine();
+
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
   /// Answers one similarity-search query with the engine's own thread
   /// pool. Thread-safe: concurrent calls serialize on the pool (use the
   /// serve layer — Submit/SearchBatch — to actually overlap queries).
   Result<SearchResponse> Search(SeriesView query,
-                                const SearchRequest& request = {}) override;
+                                const SearchRequest& request = {});
 
   /// Answers one query on the given executor instead of the engine's
   /// pool. Re-entrant: any number of calls may run concurrently as long
   /// as each uses its own executor (e.g. per-thread InlineExecutors).
   /// The caller is responsible for the executor's own concurrency rules.
   Result<SearchResponse> Search(SeriesView query, const SearchRequest& request,
-                                Executor* exec) override;
+                                Executor* exec);
+
+  /// Asynchronously answers one query through the engine's query
+  /// service. The query values are copied, so the view only needs to
+  /// live until Submit returns.
+  std::future<Result<SearchResponse>> Submit(SeriesView query,
+                                             const SearchRequest& request = {});
+
+  /// As Submit, subject to the query service's admission control:
+  /// rejected with kOverloaded when the in-flight cap is reached.
+  Result<std::future<Result<SearchResponse>>> TrySubmit(
+      SeriesView query, const SearchRequest& request,
+      const SubmitOptions& submit);
+
+  /// Answers a batch of queries concurrently through the query service;
+  /// responses are in query order. Fails on the first failing query.
+  Result<std::vector<SearchResponse>> SearchBatch(
+      const std::vector<SeriesView>& queries,
+      const SearchRequest& request = {});
 
   /// The engine's query service, created on first use (num_threads
   /// serve workers, kAuto scheduling). Never null.
-  QueryService* query_service() override;
+  QueryService* query_service();
 
   /// What this engine supports: the algorithm's table narrowed by the
   /// source it was built over (e.g. DTW is unavailable when the source
   /// is streamed). Every kNotSupported this engine returns is derived
   /// from this value.
-  EngineCapabilities capabilities() const override;
+  EngineCapabilities capabilities() const;
 
   Algorithm algorithm() const { return options_.algorithm; }
-  const char* algorithm_name() const override {
+  const char* algorithm_name() const {
     return AlgorithmName(options_.algorithm);
   }
   const EngineOptions& options() const { return options_; }
@@ -340,11 +473,15 @@ class Engine : public SearchBackend {
   const RawSeriesSource& source() const { return *query_source_; }
 
   /// Points per series in the indexed collection.
-  size_t series_length() const override { return series_length_; }
+  size_t series_length() const { return series_length_; }
   /// Series in the indexed collection (serve-layer cost heuristics).
-  /// Grows under Append; safe to read concurrently.
-  size_t series_count() const override {
-    return series_count_.load(std::memory_order_acquire);
+  /// Grows under Append; safe to read concurrently. Never below the
+  /// collection any answered query saw: MESSI and ParIS read the count
+  /// their serving dock stores with each publication, and scan-engine
+  /// appends publish it before releasing the writer gate.
+  size_t series_count() const {
+    return index_ != nullptr ? index_->series_count()
+                             : series_count_.load(std::memory_order_acquire);
   }
 
  private:
@@ -392,6 +529,8 @@ class Engine : public SearchBackend {
 
   EngineOptions options_;
   size_t series_length_ = 0;
+  /// Collection size for engines without a segmented index (scan
+  /// engines and ADS+); index_ carries its own in the serving snapshot.
   std::atomic<size_t> series_count_{0};
   std::unique_ptr<ThreadPool> pool_;
   /// The writer mutex: Append, Save, Compact and compactor passes hold

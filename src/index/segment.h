@@ -15,6 +15,8 @@
 #ifndef PARISAX_INDEX_SEGMENT_H_
 #define PARISAX_INDEX_SEGMENT_H_
 
+#include <atomic>
+#include <cstddef>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -86,8 +88,15 @@ class ServingDock {
     return state_;
   }
 
+  /// The published state's collection size, read without the lock. It
+  /// is stored under mu_ before the state it describes is swapped in,
+  /// so no query that captured a state can see more series than a
+  /// count() read after its answer reports.
+  size_t count() const { return count_.load(std::memory_order_acquire); }
+
   void Publish(std::shared_ptr<const ServingState> next) {
     MutexLock lock(&mu_);
+    count_.store(next->count, std::memory_order_release);
     state_ = std::move(next);
   }
 
@@ -100,6 +109,7 @@ class ServingDock {
     next->segments.push_back(std::move(segment));
     next->raw = raw;
     next->count = count;
+    count_.store(count, std::memory_order_release);
     state_ = std::move(next);
   }
 
@@ -154,6 +164,7 @@ class ServingDock {
 
   mutable Mutex mu_{"ServingDock::mu_", LockRank::kServingDock};
   std::shared_ptr<const ServingState> state_ PARISAX_GUARDED_BY(mu_);
+  std::atomic<size_t> count_{0};
 };
 
 /// Builds a segment over `count` series whose raw values are `values`

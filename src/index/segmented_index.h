@@ -100,7 +100,7 @@ class SegmentedIndex {
   /// base a FlatSaxCache.
   bool flat_sax() const { return flat_sax_; }
   /// Series in the indexed collection (as of the current snapshot).
-  size_t series_count() const { return dock_.get()->count; }
+  size_t series_count() const { return dock_.count(); }
   /// Tree shape as of the build or restore. Appends keep only
   /// total_entries current (O(batch) bookkeeping); read it without
   /// concurrent appends.

@@ -1,6 +1,5 @@
 #include "messi/messi_index.h"
 
-#include <algorithm>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -75,7 +74,9 @@ std::vector<Node*> CollectRoots(const ServingState& snap) {
 /// executors. Workers share nothing per node, leaf or entry but the
 /// policy's bound and the queue they push to or pop from: each counts
 /// into a QueryStats of its own and merges it into its slot once per
-/// stage; the slots are summed into `stats` (nullable) at the end.
+/// stage; the slots are summed into `stats` (nullable) at the end, with
+/// Stage 3a's wall time as the filter phase and 3b's as the refine
+/// phase.
 template <typename Policy>
 void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
                      int num_queues, Executor* exec, QueryStats* stats,
@@ -91,6 +92,7 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
   // expired token into kDeadlineExceeded instead of returning the
   // partial bound.
   WorkCounter root_counter(roots.size());
+  WallTimer filter_timer;
   exec->Run([&](int worker) {
     QueryStats local;
     // The inner lambda's cancellation return still reaches the merge.
@@ -127,10 +129,12 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
     }();
     worker_stats[worker].MergeCounters(local);
   });
+  const double filter_seconds = filter_timer.ElapsedSeconds();
 
   // Stage 3b: workers consume the queues; a queue whose minimum exceeds
   // the BSF is abandoned wholesale (everything below it is farther).
   // The cancel token is polled once per popped leaf.
+  WallTimer refine_timer;
   exec->Run([&](int worker) {
     QueryStats local;
     [&] {
@@ -171,30 +175,19 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
   });
 
   if (stats == nullptr) return;
+  stats->filter_phase_seconds = filter_seconds;
+  stats->refine_phase_seconds = refine_timer.ElapsedSeconds();
   for (const QueryStats& w : worker_stats) stats->MergeCounters(w);
 }
 
-/// Thread-safe single best neighbor (1-NN result set). When a shared
-/// cross-search bound cell is attached, Bound() folds it in with min()
-/// and every improvement (the seed included) is published to it — so
-/// the shard router's other searches prune on this search's progress.
-/// `best` itself only tracks distances computed *here*, which keeps the
-/// merged cross-shard result exact: the cell never drops below the true
-/// global answer, so the globally best series is never pruned on its
-/// own shard.
+/// Thread-safe single best neighbor (1-NN result set): the atomic BSF
+/// workers prune against, and the (distance, id)-ordered best match.
 struct BestNeighbor {
-  BestNeighbor(Neighbor seed, AtomicMinFloat* shared)
-      : bsf(seed.distance_sq), shared(shared), best(seed) {
-    if (shared != nullptr) shared->UpdateMin(seed.distance_sq);
-  }
+  explicit BestNeighbor(Neighbor seed) : bsf(seed.distance_sq), best(seed) {}
 
-  float Bound() const {
-    const float local = bsf.Load();
-    return shared != nullptr ? std::min(local, shared->Load()) : local;
-  }
+  float Bound() const { return bsf.Load(); }
 
   void Offer(SeriesId id, float d) {
-    if (shared != nullptr) shared->UpdateMin(d);
     if (!bsf.UpdateMin(d) && d > bsf.Load()) return;
     MutexLock lock(&mu);
     if (d < best.distance_sq || (d == best.distance_sq && id < best.id)) {
@@ -211,7 +204,6 @@ struct BestNeighbor {
   }
 
   AtomicMinFloat bsf;
-  AtomicMinFloat* shared;
   mutable Mutex mu{"BestNeighbor::mu", LockRank::kResultMerge};
   Neighbor best PARISAX_GUARDED_BY(mu);
 };
@@ -239,22 +231,15 @@ struct EdNnPolicy {
   }
 };
 
-/// Exact-ED kNN policy: the bound is the k-th best distance, optionally
-/// folded with a shared cross-search bound. Publishing the local heap's
-/// bound is sound because every shard's local k-th distance is an upper
-/// bound on the global k-th distance.
+/// Exact-ED kNN policy: the bound is the k-th best distance.
 struct EdKnnPolicy {
   RawDataView raw;
   const MinDistTable* lbs;
   KernelPolicy kernel;
   SeriesView query;
   KnnHeap* heap;
-  AtomicMinFloat* shared;
 
-  float Bound() const {
-    const float local = heap->Bound();
-    return shared != nullptr ? std::min(local, shared->Load()) : local;
-  }
+  float Bound() const { return heap->Bound(); }
 
   float NodeLb(const Node& node) const { return lbs->ToWordSq(node.word()); }
 
@@ -265,10 +250,7 @@ struct EdKnnPolicy {
     counts->real_dist_calcs++;
     const float d = SquaredEuclideanEarlyAbandon(query, raw.series(e.id),
                                                  bound, kernel);
-    if (d < bound) {
-      heap->Update(Neighbor{e.id, d});
-      if (shared != nullptr) shared->UpdateMin(heap->Bound());
-    }
+    if (d < bound) heap->Update(Neighbor{e.id, d});
   }
 };
 
@@ -425,7 +407,7 @@ Result<Neighbor> MessiIndex::SearchExact(SeriesView query,
     stats->approx_phase_seconds = approx_timer.ElapsedSeconds();
   }
 
-  BestNeighbor result(seed, options.shared_bound);
+  BestNeighbor result(seed);
   const MinDistTable lbs(paa, paa, w, n);
   EdNnPolicy policy{snap->raw, &lbs, options.kernel, query, &result};
   const int num_queues =
@@ -470,13 +452,9 @@ Result<std::vector<Neighbor>> MessiIndex::SearchKnn(
   };
   seed_from(*snap->base);
   for (const auto& seg : snap->segments) seed_from(seg->tree);
-  if (options.shared_bound != nullptr) {
-    options.shared_bound->UpdateMin(heap.Bound());
-  }
 
   const MinDistTable lbs(paa, paa, w, n);
-  EdKnnPolicy policy{snap->raw, &lbs,  options.kernel,
-                     query,     &heap, options.shared_bound};
+  EdKnnPolicy policy{snap->raw, &lbs, options.kernel, query, &heap};
   const int num_queues =
       options.num_queues > 0 ? options.num_queues : options.num_workers;
   const std::vector<Node*> roots = CollectRoots(*snap);
@@ -535,7 +513,7 @@ Result<Neighbor> MessiIndex::SearchExactDtw(SeriesView query,
   seed_from(*snap->base);
   for (const auto& seg : snap->segments) seed_from(seg->tree);
 
-  BestNeighbor result(seed, options.shared_bound);
+  BestNeighbor result(seed);
   const MinDistTable lbs(env_lower_paa, env_upper_paa, w, n);
   DtwNnPolicy policy{snap->raw,        &lbs,  &env_lower, &env_upper,
                      options.dtw_band, query, &result,    &scratches};

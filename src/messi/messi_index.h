@@ -18,7 +18,8 @@
 // on the queues and the BSF: roots are claimed in batches of 32 by
 // Fetch&Inc, worker i deals its leaves round-robin starting at queue i,
 // and each worker counts its work privately and merges the counts once
-// per stage.
+// per stage. QueryStats reports the traversal (3a) as the filter phase
+// and the queue draining with refinement (3b) as the refine phase.
 //
 // Incremental ingest (beyond the paper): the index serves an immutable
 // snapshot — the bulk-built base tree plus an ordered list of delta
@@ -80,13 +81,6 @@ struct MessiQueryOptions {
   /// search returns kDeadlineExceeded instead of a partial answer. The
   /// caller keeps the token alive; null never expires.
   const CancellationToken* cancel = nullptr;
-  /// Optional cross-search pruning bound (the shard router's shared
-  /// BSF): folded into the local bound with min() and improved through
-  /// UpdateMin whenever this search tightens its own bound. The caller
-  /// keeps the cell alive and guarantees its value never drops below
-  /// the query's true global answer, so pruning on it stays exact.
-  /// Null: only the local bound prunes.
-  AtomicMinFloat* shared_bound = nullptr;
 };
 
 class SnapshotReader;

@@ -64,22 +64,22 @@ const char* RequestTypeLabel(FrameType type) {
 
 }  // namespace
 
-Server::Server(SearchBackend* backend, const ServerOptions& options)
-    : backend_(backend), options_(options), metrics_(&registry_) {}
+Server::Server(Engine* engine, const ServerOptions& options)
+    : engine_(engine), options_(options), metrics_(&registry_) {}
 
-Result<std::unique_ptr<Server>> Server::Start(SearchBackend* backend,
+Result<std::unique_ptr<Server>> Server::Start(Engine* engine,
                                               const ServerOptions& options) {
-  if (backend == nullptr) {
-    return Status::InvalidArgument("backend must not be null");
+  if (engine == nullptr) {
+    return Status::InvalidArgument("engine must not be null");
   }
-  std::unique_ptr<Server> server(new Server(backend, options));
+  std::unique_ptr<Server> server(new Server(engine, options));
 
   QueryServiceOptions sopts;
   sopts.num_threads = options.serve_threads;
   sopts.policy = options.policy;
   sopts.max_inflight = options.max_inflight;
   PARISAX_ASSIGN_OR_RETURN(server->service_,
-                           QueryService::Create(backend, sopts));
+                           QueryService::Create(engine, sopts));
 
   PARISAX_RETURN_IF_ERROR(server->Listen());
   server->acceptor_ = std::thread([s = server.get()] { s->AcceptLoop(); });
@@ -319,17 +319,17 @@ bool Server::HandleFrame(Connection* conn, const FrameHeader& header,
         return true;
       }
       const AppendFrame& a = *decoded;
-      if (a.count > 0 && a.series_len != backend_->series_length()) {
+      if (a.count > 0 && a.series_len != engine_->series_length()) {
         EnqueueError(conn, a.request_id, WireError::kInvalidArgument,
                      "appended series length does not match the "
                      "collection",
                      label);
         return true;
       }
-      // Appends run inline on the reader thread: the backend's Append
+      // Appends run inline on the reader thread: the engine's Append
       // serializes on its append mutex anyway, and back-to-back frames
       // on one connection should apply in order.
-      auto report = backend_->Append(a.values.data(), a.count);
+      auto report = engine_->Append(a.values.data(), a.count);
       if (!report.ok()) {
         EnqueueError(conn, a.request_id,
                      WireErrorFromStatus(report.status()),
@@ -338,7 +338,7 @@ bool Server::HandleFrame(Connection* conn, const FrameHeader& header,
       }
       Outgoing out;
       out.frame = EncodeAppendOkFrame(AppendOkFrame{
-          a.request_id, report->total_series, backend_->append_epoch()});
+          a.request_id, report->total_series, engine_->append_epoch()});
       out.request_id = a.request_id;
       out.type_label = label;
       out.start = start;
@@ -374,9 +374,9 @@ bool Server::HandleFrame(Connection* conn, const FrameHeader& header,
       }
       Outgoing out;
       out.frame = EncodeHealthOkFrame(HealthOkFrame{
-          *request_id, backend_->series_count(),
-          static_cast<uint32_t>(backend_->series_length()),
-          backend_->algorithm_name()});
+          *request_id, engine_->series_count(),
+          static_cast<uint32_t>(engine_->series_length()),
+          engine_->algorithm_name()});
       out.request_id = *request_id;
       out.type_label = label;
       out.start = start;
@@ -487,7 +487,7 @@ void Server::WriterLoop(Connection* conn) {
 }
 
 std::string Server::RenderMetricsText() {
-  metrics_.Update(backend_, service_.get());
+  metrics_.Update(engine_, service_.get());
   return registry_.RenderPrometheusText();
 }
 

@@ -1,6 +1,5 @@
 // The parisax serving front end: a TCP server speaking the frame
-// protocol of net/protocol.h in front of one SearchBackend (a single
-// Engine or a ShardedEngine) + QueryService.
+// protocol of net/protocol.h in front of one Engine + QueryService.
 //
 // Threading model: one acceptor thread; per connection, a reader thread
 // (decodes frames, submits queries, answers stats/health/append inline)
@@ -29,7 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/search_backend.h"
+#include "core/engine.h"
 #include "net/protocol.h"
 #include "serve/metrics.h"
 #include "serve/query_service.h"
@@ -61,9 +60,9 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// Binds, listens and starts serving `backend` (which must outlive
+  /// Binds, listens and starts serving `engine` (which must outlive
   /// the server). Returns kIoError when the address cannot be bound.
-  static Result<std::unique_ptr<Server>> Start(SearchBackend* backend,
+  static Result<std::unique_ptr<Server>> Start(Engine* engine,
                                                const ServerOptions& options);
 
   /// Stops accepting, closes every connection, finishes in-flight
@@ -83,7 +82,7 @@ class Server {
   ServerMetrics* server_metrics() { return &metrics_; }
   QueryService* query_service() { return service_.get(); }
 
-  /// Mirrors live backend/service state into the registry and renders
+  /// Mirrors live engine/service state into the registry and renders
   /// the Prometheus text exposition (what a STATS frame answers).
   std::string RenderMetricsText();
 
@@ -111,7 +110,7 @@ class Server {
     std::atomic<bool> finished{false};  // both threads exited
   };
 
-  Server(SearchBackend* backend, const ServerOptions& options);
+  Server(Engine* engine, const ServerOptions& options);
 
   Status Listen();
   void AcceptLoop();
@@ -128,7 +127,7 @@ class Server {
   /// Joins and frees connections whose threads have exited.
   void ReapFinished();
 
-  SearchBackend* const backend_;
+  Engine* const engine_;
   const ServerOptions options_;
   MetricsRegistry registry_;
   ServerMetrics metrics_;

@@ -7,15 +7,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <semaphore>
 #include <string>
 
 #include "core/engine.h"
-#include "io/format.h"
 #include "io/generator.h"
 #include "net/server.h"
-#include "shard/sharded_engine.h"
 
 namespace {
 
@@ -37,11 +34,8 @@ void Usage(const char* argv0) {
       "  --seed N               generator seed (default 42)\n"
       "  --algorithm NAME       messi|paris|paris+|ads+|brute|ucr|ucr-p\n"
       "                         (default messi)\n"
-      "  --build-threads N      index construction threads (default 4;\n"
-      "                         per shard when --shards > 1)\n"
-      "  --shards N             partition the collection over N engine\n"
-      "                         shards behind one query router "
-      "(default 1)\n"
+      "  --build-threads N      engine threads for index construction and\n"
+      "                         intra-query parallelism (default 4)\n"
       "  --serve-threads N      query service workers (default 4)\n"
       "  --max-inflight N       admission cap, 0 = unbounded (default 128)\n"
       "  --default-timeout-us N deadline for frames without one (default 0)\n"
@@ -58,7 +52,6 @@ int Main(int argc, char** argv) {
   uint64_t seed = 42;
   std::string algorithm = "messi";
   int build_threads = 4;
-  size_t num_shards = 1;
   parisax::ServerOptions sopts;
 
   for (int i = 1; i < argc; ++i) {
@@ -86,11 +79,6 @@ int Main(int argc, char** argv) {
       algorithm = next();
     } else if (arg == "--build-threads") {
       build_threads = std::atoi(next());
-    } else if (arg == "--shards") {
-      num_shards = std::strtoull(next(), nullptr, 10);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      num_shards = std::strtoull(arg.c_str() + strlen("--shards="), nullptr,
-                                 10);
     } else if (arg == "--serve-threads") {
       sopts.serve_threads = std::atoi(next());
     } else if (arg == "--max-inflight") {
@@ -120,83 +108,35 @@ int Main(int argc, char** argv) {
   parisax::EngineOptions eopts;
   eopts.algorithm = *parsed;
   eopts.num_threads = build_threads;
-  if (num_shards == 0) {
-    std::fprintf(stderr, "--shards must be positive\n");
-    return 2;
-  }
 
-  // The server only speaks SearchBackend, so a single engine and a
-  // sharded one plug in identically; the wire protocol cannot tell.
-  std::unique_ptr<parisax::Engine> engine;
-  std::unique_ptr<parisax::ShardedEngine> sharded;
-  parisax::SearchBackend* backend = nullptr;
-  if (num_shards > 1) {
-    parisax::Dataset dataset;
-    if (!data_path.empty()) {
-      std::fprintf(stderr, "loading %s into memory for sharding...\n",
-                   data_path.c_str());
-      auto loaded = parisax::LoadDataset(data_path);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "dataset load failed: %s\n",
-                     loaded.status().message().c_str());
-        return 1;
-      }
-      dataset = std::move(loaded).value();
-    } else {
-      if (synthetic == 0) synthetic = 10000;
-      parisax::GeneratorOptions gopts;
-      gopts.count = synthetic;
-      gopts.length = length;
-      gopts.seed = seed;
-      dataset = parisax::GenerateDataset(gopts);
-    }
-    std::fprintf(stderr,
-                 "building %s index over %zu series, %zu shards...\n",
-                 parisax::AlgorithmName(eopts.algorithm), dataset.count(),
-                 num_shards);
-    auto built =
-        parisax::ShardedEngine::Build(std::move(dataset), num_shards, eopts);
-    if (!built.ok()) {
-      std::fprintf(stderr, "engine build failed: %s\n",
-                   built.status().message().c_str());
-      return 1;
-    }
-    sharded = std::move(built).value();
-    backend = sharded.get();
+  parisax::Result<std::unique_ptr<parisax::Engine>> built =
+      parisax::Status::InvalidArgument("unbuilt");
+  if (!data_path.empty()) {
+    std::fprintf(stderr, "building %s index over %s (mmap)...\n",
+                 parisax::AlgorithmName(eopts.algorithm), data_path.c_str());
+    built = parisax::Engine::Build(parisax::SourceSpec::Mmap(data_path), eopts);
   } else {
-    parisax::Result<std::unique_ptr<parisax::Engine>> built =
-        parisax::Status::InvalidArgument("unbuilt");
-    if (!data_path.empty()) {
-      std::fprintf(stderr, "building %s index over %s (mmap)...\n",
-                   parisax::AlgorithmName(eopts.algorithm),
-                   data_path.c_str());
-      built = parisax::Engine::Build(parisax::SourceSpec::Mmap(data_path),
-                                     eopts);
-    } else {
-      if (synthetic == 0) synthetic = 10000;
-      std::fprintf(stderr,
-                   "building %s index over %zu synthetic series of length "
-                   "%zu...\n",
-                   parisax::AlgorithmName(eopts.algorithm), synthetic,
-                   length);
-      parisax::GeneratorOptions gopts;
-      gopts.count = synthetic;
-      gopts.length = length;
-      gopts.seed = seed;
-      built = parisax::Engine::Build(
-          parisax::SourceSpec::InMemory(parisax::GenerateDataset(gopts)),
-          eopts);
-    }
-    if (!built.ok()) {
-      std::fprintf(stderr, "engine build failed: %s\n",
-                   built.status().message().c_str());
-      return 1;
-    }
-    engine = std::move(built).value();
-    backend = engine.get();
+    if (synthetic == 0) synthetic = 10000;
+    std::fprintf(stderr,
+                 "building %s index over %zu synthetic series of length "
+                 "%zu...\n",
+                 parisax::AlgorithmName(eopts.algorithm), synthetic, length);
+    parisax::GeneratorOptions gopts;
+    gopts.count = synthetic;
+    gopts.length = length;
+    gopts.seed = seed;
+    built = parisax::Engine::Build(
+        parisax::SourceSpec::InMemory(parisax::GenerateDataset(gopts)),
+        eopts);
   }
+  if (!built.ok()) {
+    std::fprintf(stderr, "engine build failed: %s\n",
+                 built.status().message().c_str());
+    return 1;
+  }
+  const std::unique_ptr<parisax::Engine> engine = std::move(built).value();
 
-  auto server = parisax::Server::Start(backend, sopts);
+  auto server = parisax::Server::Start(engine.get(), sopts);
   if (!server.ok()) {
     std::fprintf(stderr, "server start failed: %s\n",
                  server.status().message().c_str());
@@ -204,10 +144,10 @@ int Main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "parisax_server listening on %s:%u (%zu series x %zu, "
-               "algorithm %s, %zu shard%s, max_inflight %zu)\n",
-               sopts.host.c_str(), (*server)->port(), backend->series_count(),
-               backend->series_length(), backend->algorithm_name(),
-               num_shards, num_shards == 1 ? "" : "s", sopts.max_inflight);
+               "algorithm %s, max_inflight %zu)\n",
+               sopts.host.c_str(), (*server)->port(), engine->series_count(),
+               engine->series_length(), engine->algorithm_name(),
+               sopts.max_inflight);
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);

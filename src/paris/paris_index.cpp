@@ -92,8 +92,14 @@ class ParisBuilder {
       if (first_error_.ok()) first_error_ = status;
       failed_.store(true, std::memory_order_release);
     }
-    // Wake anyone blocked on a slot so the pipeline can unwind.
-    for (BatchSlot& s : slots_) s.cv.NotifyAll();
+    // Wake anyone blocked on a slot so the pipeline can unwind. Waiters
+    // test failed_ under the slot mutex, so notify under it too: a
+    // waiter that read failed_ == false holds the mutex until it
+    // blocks, and a notify sent in that window would be lost.
+    for (BatchSlot& s : slots_) {
+      MutexLock lock(&s.mu);
+      s.cv.NotifyAll();
+    }
   }
 
   bool materialize_leaves() const {
@@ -490,16 +496,10 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
     return nullptr;  // unreachable for id < snap->count
   };
 
-  // Phase 2: lower-bound workers filter the SAX summaries in parallel.
-  // A shared cross-search bound (the shard router's BSF) tightens the
-  // frozen filter bound: it can never drop below the query's true
-  // global answer, so candidates it prunes can never win.
+  // Phase 2: lower-bound workers filter the SAX summaries in parallel
+  // against the frozen seed bound.
   WallTimer filter_timer;
-  AtomicMinFloat* const shared = options.shared_bound;
-  if (shared != nullptr) shared->UpdateMin(best.distance_sq);
-  const float bsf0 = shared != nullptr
-                         ? std::min(best.distance_sq, shared->Load())
-                         : best.distance_sq;
+  const float bsf0 = best.distance_sq;
   const MinDistTable lbs(paa, paa, w, n);
   std::vector<SeriesId> candidates(snap->count);
   std::atomic<size_t> tail{0};
@@ -533,10 +533,6 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
   // Phase 3: real-distance workers refine candidates in parallel.
   WallTimer refine_timer;
   AtomicMinFloat bsf(bsf0);
-  const auto load_bound = [&bsf, shared] {
-    const float local = bsf.Load();
-    return shared != nullptr ? std::min(local, shared->Load()) : local;
-  };
   Mutex best_mu{"best_mu", LockRank::kResultMerge};
   std::atomic<bool> failed{false};
   Status worker_status;
@@ -550,12 +546,11 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
         if (Expired(options.cancel)) return;
         for (size_t c = begin; c < end; ++c) {
           const SeriesId id = candidates[c];
-          const float bound = load_bound();
+          const float bound = bsf.Load();
           const float d = SquaredEuclideanEarlyAbandon(
               query, snap->raw.series(id), bound, options.kernel);
           if (d < bound) {
             bsf.UpdateMin(d);
-            if (shared != nullptr) shared->UpdateMin(d);
             MutexLock lock(&best_mu);
             if (d < best.distance_sq ||
                 (d == best.distance_sq && id < best.id)) {
@@ -583,13 +578,12 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
       exec->Run([&](int) {
         size_t c;
         while (counter.NextItem(&c)) {
-          const float bound = load_bound();
+          const float bound = bsf.Load();
           const float d = SquaredEuclideanEarlyAbandon(
               query.data(), chunk_values.data() + c * n, n, bound,
               options.kernel);
           if (d < bound) {
             bsf.UpdateMin(d);
-            if (shared != nullptr) shared->UpdateMin(d);
             const SeriesId id = candidates[base + c];
             MutexLock lock(&best_mu);
             if (d < best.distance_sq ||
@@ -621,13 +615,12 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
             }
             view = SeriesView(buffer.data(), buffer.size());
           }
-          const float bound = load_bound();
+          const float bound = bsf.Load();
           const float d =
               SquaredEuclideanEarlyAbandon(query, view, bound,
                                            options.kernel);
           if (d < bound) {
             bsf.UpdateMin(d);
-            if (shared != nullptr) shared->UpdateMin(d);
             MutexLock lock(&best_mu);
             if (d < best.distance_sq ||
                 (d == best.distance_sq && id < best.id)) {

@@ -110,14 +110,6 @@ struct ParisQueryOptions {
   /// of a partial answer. The caller keeps the token alive; null never
   /// expires.
   const CancellationToken* cancel = nullptr;
-  /// Optional cross-search pruning bound (the shard router's shared
-  /// BSF): folded into the frozen filter bound and the refine-phase BSF
-  /// with min(), and improved through UpdateMin whenever this search
-  /// tightens its own bound. The caller keeps the cell alive and
-  /// guarantees its value never drops below the query's true global
-  /// answer, so pruning on it stays exact. Null: only the local bound
-  /// prunes.
-  AtomicMinFloat* shared_bound = nullptr;
 };
 
 /// ParIS/ParIS+ over the shared segmented core: append, compaction,

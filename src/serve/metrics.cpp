@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "core/search_backend.h"
+#include "core/engine.h"
 #include "serve/query_service.h"
 
 namespace parisax {
@@ -331,13 +331,12 @@ ServerMetrics::ServerMetrics(MetricsRegistry* registry)
       "that published a merged or folded snapshot.");
 }
 
-void ServerMetrics::Update(const SearchBackend* backend,
-                           QueryService* service) {
-  if (backend != nullptr) {
-    series_count->Set(static_cast<double>(backend->series_count()));
-    series_length->Set(static_cast<double>(backend->series_length()));
-    append_epoch_total->UpdateTo(backend->append_epoch());
-    compactions_total->UpdateTo(backend->compaction_count());
+void ServerMetrics::Update(const Engine* engine, QueryService* service) {
+  if (engine != nullptr) {
+    series_count->Set(static_cast<double>(engine->series_count()));
+    series_length->Set(static_cast<double>(engine->series_length()));
+    append_epoch_total->UpdateTo(engine->append_epoch());
+    compactions_total->UpdateTo(engine->compaction_count());
   }
   if (service != nullptr) {
     const ServeStats s = service->stats();

@@ -28,8 +28,8 @@
 
 namespace parisax {
 
+class Engine;
 class QueryService;
-class SearchBackend;
 
 /// A monotonically increasing count.
 class Counter {
@@ -201,10 +201,10 @@ class MetricsRegistry {
 struct ServerMetrics {
   explicit ServerMetrics(MetricsRegistry* registry);
 
-  /// Mirrors backend + service state into the registered gauges and
+  /// Mirrors engine + service state into the registered gauges and
   /// counters (ServeStats arrives as one coherent snapshot). Call
   /// before rendering; either pointer may be null.
-  void Update(const SearchBackend* backend, QueryService* service);
+  void Update(const Engine* engine, QueryService* service);
 
   MetricsRegistry* registry;
 

@@ -7,9 +7,9 @@
 namespace parisax {
 
 Result<std::unique_ptr<QueryService>> QueryService::Create(
-    SearchBackend* backend, const QueryServiceOptions& options) {
-  if (backend == nullptr) {
-    return Status::InvalidArgument("backend must not be null");
+    Engine* engine, const QueryServiceOptions& options) {
+  if (engine == nullptr) {
+    return Status::InvalidArgument("engine must not be null");
   }
   if (options.num_threads < 1) {
     return Status::InvalidArgument("num_threads must be positive");
@@ -18,12 +18,11 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
     return Status::InvalidArgument(
         "parallel_cost_threshold must be positive");
   }
-  return std::unique_ptr<QueryService>(new QueryService(backend, options));
+  return std::unique_ptr<QueryService>(new QueryService(engine, options));
 }
 
-QueryService::QueryService(SearchBackend* backend,
-                           const QueryServiceOptions& options)
-    : backend_(backend), options_(options), shards_(options.num_threads) {
+QueryService::QueryService(Engine* engine, const QueryServiceOptions& options)
+    : engine_(engine), options_(options), shards_(options.num_threads) {
   workers_.reserve(options_.num_threads);
   for (int i = 0; i < options_.num_threads; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -209,8 +208,8 @@ bool QueryService::TryAcquire(int worker, Task* task) {
 
 double QueryService::EstimateCost(const SearchRequest& request) const {
   if (request.approximate) return 0.0;  // one leaf probe, always cheap
-  const double count = static_cast<double>(backend_->series_count());
-  const double length = static_cast<double>(backend_->series_length());
+  const double count = static_cast<double>(engine_->series_count());
+  const double length = static_cast<double>(engine_->series_length());
   double per_candidate = length;
   if (request.dtw) {
     // Banded DTW costs ~ (2*band+1) cells per point instead of 1.
@@ -230,8 +229,8 @@ void QueryService::Execute(Task task) {
   // timing; otherwise the task answers kDeadlineExceeded.
   if (Expired(task.request.cancel)) {
     const Status gate = CheckRequestAgainstCapabilities(
-        backend_->capabilities(), backend_->series_length(),
-        backend_->algorithm_name(),
+        engine_->capabilities(), engine_->series_length(),
+        engine_->algorithm_name(),
         SeriesView(task.query.data(), task.query.size()), task.request);
     {
       MutexLock lock(&stats_mu_);
@@ -256,12 +255,14 @@ void QueryService::Execute(Task task) {
       parallel = true;
       break;
     case SchedulingPolicy::kAuto:
-      // Take the intra-query parallel path only for expensive queries
-      // when no other work is waiting: under load, whole-query-per-
-      // worker wins on throughput; idle, fan-out wins on latency.
-      parallel =
-          EstimateCost(task.request) >= options_.parallel_cost_threshold &&
-          queued_.load(std::memory_order_relaxed) == 0;
+      // The intra-query parallel path is for an expensive query that is
+      // the only one in flight. Under load the pool would serialize the
+      // queries, and an empty deque is no sign of idleness: closed-loop
+      // clients keep the deques empty while every worker is busy.
+      if (EstimateCost(task.request) >= options_.parallel_cost_threshold) {
+        MutexLock lock(&stats_mu_);
+        parallel = stats_.inflight == 1;
+      }
       break;
   }
 
@@ -271,9 +272,9 @@ void QueryService::Execute(Task task) {
   // submitter's future breaks and Drain blocks forever.
   Result<SearchResponse> response = [&]() -> Result<SearchResponse> {
     try {
-      if (parallel) return backend_->Search(view, task.request);
+      if (parallel) return engine_->Search(view, task.request);
       InlineExecutor inline_exec;
-      return backend_->Search(view, task.request, &inline_exec);
+      return engine_->Search(view, task.request, &inline_exec);
     } catch (const std::exception& e) {
       return Status::Internal(std::string("query threw: ") + e.what());
     } catch (...) {

@@ -1,6 +1,5 @@
 // Concurrent query service: batched / streamed multi-query execution
-// over an already-built search backend (a single Engine or a
-// ShardedEngine — the service only speaks SearchBackend).
+// over an already-built Engine.
 //
 // ParIS+/MESSI parallelize *one* query at a time (intra-query worker
 // fan-out); a system serving heavy traffic also needs inter-query
@@ -16,7 +15,8 @@
 //                serialize on the pool. Minimizes single-query latency.
 //   kAuto        per-query choice: a query whose estimated cost clears
 //                `parallel_cost_threshold` runs the parallel path when
-//                the service is otherwise idle; everything else runs
+//                it is the only query in flight (nothing queued, nothing
+//                else executing); everything else runs
 //                whole-query-per-worker.
 //
 // Submitted tasks land in per-worker deques; an idle worker first drains
@@ -35,7 +35,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/search_backend.h"
+#include "core/engine.h"
 #include "core/types.h"
 #include "util/cancellation.h"
 #include "util/mutex.h"
@@ -53,8 +53,9 @@ struct QueryServiceOptions {
   SchedulingPolicy policy = SchedulingPolicy::kAuto;
   /// kAuto: a query whose estimated cost (point-pair kernel
   /// evaluations) reaches this takes the intra-query parallel path when
-  /// the service is otherwise idle. The default (64M point pairs, ~a
-  /// 256K x 256 collection) keeps small queries in throughput mode.
+  /// it is the only query in flight. The default (64M point pairs, ~a
+  /// 256K x 256 collection) keeps small queries in throughput mode,
+  /// where a lone query gains little or nothing from the pool.
   double parallel_cost_threshold = 64.0 * 1024.0 * 1024.0;
   /// Admission control: the most queries TrySubmit accepts before
   /// completing some (queued + executing). Further TrySubmits are
@@ -117,12 +118,12 @@ struct ServeStats {
 
 class QueryService {
  public:
-  /// Starts `options.num_threads` serve workers over `backend`, which
+  /// Starts `options.num_threads` serve workers over `engine`, which
   /// must outlive the service. While a service is attached, route
-  /// queries through it (or through the backend's thread-safe Search,
+  /// queries through it (or through the engine's thread-safe Search,
   /// which serializes on the same pool the kLatency path uses).
   static Result<std::unique_ptr<QueryService>> Create(
-      SearchBackend* backend, const QueryServiceOptions& options);
+      Engine* engine, const QueryServiceOptions& options);
 
   /// Finishes every accepted query, then stops the workers.
   ~QueryService();
@@ -178,7 +179,7 @@ class QueryService {
     std::deque<Task> tasks PARISAX_GUARDED_BY(mu);
   };
 
-  QueryService(SearchBackend* backend, const QueryServiceOptions& options);
+  QueryService(Engine* engine, const QueryServiceOptions& options);
 
   /// Shared Submit/TrySubmit body; `enforce_cap` selects admission
   /// control. Returns kOverloaded only when it is enforced.
@@ -195,7 +196,7 @@ class QueryService {
   /// for one query against the whole collection.
   double EstimateCost(const SearchRequest& request) const;
 
-  SearchBackend* const backend_;
+  Engine* const engine_;
   const QueryServiceOptions options_;
 
   std::vector<Shard> shards_;

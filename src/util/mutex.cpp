@@ -10,7 +10,7 @@ namespace lock_rank_internal {
 namespace {
 
 /// One thread's held locks. Deep enough for several times the worst
-/// real chain (net -> serve -> router -> engine -> index internals).
+/// real chain (net -> serve -> engine -> index internals).
 constexpr int kMaxHeldLocks = 32;
 
 struct HeldLock {

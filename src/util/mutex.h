@@ -91,11 +91,9 @@ enum class LockRank : int {
   kNetConnections = 10,  ///< Server::conns_mu_ (connection registry)
   kNetConnection = 20,   ///< Server::Connection::mu (per-connection outbox)
   // --- serve layer ---
-  kServiceInit = 30,  ///< Engine/ShardedEngine service_mu_ (lazy service)
+  kServiceInit = 30,  ///< Engine::service_mu_ (lazy service)
   kServeWake = 40,    ///< QueryService::wake_mu_ (sleep/wake protocol)
   kServeDeque = 50,   ///< QueryService::Shard::mu (work-stealing deques)
-  // --- shard router ---
-  kRouterAppend = 60,  ///< ShardedEngine::append_mu_ (cross-shard writer)
   // --- engine core (the documented append -> pool -> gate chain) ---
   kEngineAppend = 70,  ///< Engine::append_mu_ (writer gate)
   kCompactor = 80,     ///< Engine::compactor_mu_ (kicked under append_mu_)

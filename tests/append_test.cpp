@@ -295,58 +295,67 @@ TEST(AppendTest, AppendUnderConcurrentQueryServiceLoad) {
   const Dataset full = MakeData(1600, 101);
   const Dataset queries = GenerateQueries(DatasetKind::kRandomWalk, 8,
                                           kLength, 102);
-  auto built = Engine::Build(SourceSpec::InMemory(Slice(full, 0, 1000)),
-                             BaseOptions(Algorithm::kMessi));
-  ASSERT_TRUE(built.ok());
-  Engine* engine = built->get();
+  // One engine per append path: MESSI and ParIS+ publish segments into
+  // the serving snapshot, ucr-p grows its source under the writer gate.
+  for (const Algorithm algorithm :
+       {Algorithm::kMessi, Algorithm::kParisPlus, Algorithm::kUcrParallel}) {
+    const std::string label = AlgorithmName(algorithm);
+    SCOPED_TRACE(label);
+    auto built = Engine::Build(SourceSpec::InMemory(Slice(full, 0, 1000)),
+                               BaseOptions(algorithm));
+    ASSERT_TRUE(built.ok());
+    Engine* engine = built->get();
+    const bool knn = engine->capabilities().max_k >= 3;
 
-  // Clients hammer the query service while the main thread appends the
-  // remaining series in batches. Every response must be well-formed
-  // against whatever epoch it observed (neighbor id inside the
-  // collection, finite distance).
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> answered{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 3; ++c) {
-    clients.emplace_back([&, c] {
-      uint64_t i = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        const SeriesView q = queries.series((c + i++) % queries.count());
-        SearchRequest request;
-        if (i % 3 == 0) request.k = 3;
-        auto response = engine->Submit(q, request).get();
-        EXPECT_TRUE(response.ok()) << response.status().ToString();
-        if (response.ok()) {
-          for (const Neighbor& n : response->neighbors) {
-            EXPECT_LT(n.id, engine->series_count());
-            EXPECT_GE(n.distance_sq, 0.0f);
+    // Clients hammer the query service while the main thread appends
+    // the remaining series in batches. Every response must be
+    // well-formed against whatever epoch it observed: every neighbor id
+    // below the series_count() read after the answer, and a finite
+    // distance.
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> answered{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 3; ++c) {
+      clients.emplace_back([&, c] {
+        uint64_t i = 0;
+        while (!stop.load(std::memory_order_acquire)) {
+          const SeriesView q = queries.series((c + i++) % queries.count());
+          SearchRequest request;
+          if (knn && i % 3 == 0) request.k = 3;
+          auto response = engine->Submit(q, request).get();
+          EXPECT_TRUE(response.ok()) << response.status().ToString();
+          if (response.ok()) {
+            for (const Neighbor& n : response->neighbors) {
+              EXPECT_LT(n.id, engine->series_count());
+              EXPECT_GE(n.distance_sq, 0.0f);
+            }
           }
+          answered.fetch_add(1, std::memory_order_relaxed);
         }
-        answered.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (size_t first = 1000; first < 1600; first += 200) {
-    auto report = engine->Append(Slice(full, first, 200));
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-  }
-  // Let the clients observe the final epoch before stopping.
-  while (answered.load(std::memory_order_relaxed) < 24) {
-    std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : clients) t.join();
+      });
+    }
+    for (size_t first = 1000; first < 1600; first += 200) {
+      auto report = engine->Append(Slice(full, first, 200));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+    }
+    // Let the clients observe the final epoch before stopping.
+    while (answered.load(std::memory_order_relaxed) < 24) {
+      std::this_thread::yield();
+    }
+    stop.store(true, std::memory_order_release);
+    for (std::thread& t : clients) t.join();
 
-  EXPECT_EQ(engine->series_count(), full.count());
-  EXPECT_EQ(engine->append_epoch(), 3u);
+    EXPECT_EQ(engine->series_count(), full.count());
+    EXPECT_EQ(engine->append_epoch(), 3u);
 
-  // And the final state answers exactly like a from-scratch build.
-  auto scratch = Engine::Build(
-      SourceSpec::InMemory(Slice(full, 0, full.count())),
-      BaseOptions(Algorithm::kMessi));
-  ASSERT_TRUE(scratch.ok());
-  ExpectQueryEquivalence(scratch->get(), engine, queries,
-                         "messi/concurrent");
+    // And the final state answers exactly like a from-scratch build.
+    auto scratch = Engine::Build(
+        SourceSpec::InMemory(Slice(full, 0, full.count())),
+        BaseOptions(algorithm));
+    ASSERT_TRUE(scratch.ok());
+    ExpectQueryEquivalence(scratch->get(), engine, queries,
+                           label + "/concurrent");
+  }
 }
 
 // --- delta snapshots --------------------------------------------------

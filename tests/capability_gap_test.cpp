@@ -1,7 +1,7 @@
 // Capability-table gap sweep: every capabilities()==false cell must
 // come back as the documented typed Status — never a crash, a silent
-// wrong answer, or an undifferentiated error — through all three
-// surfaces: Engine, ShardedEngine, and the wire protocol. The expected
+// wrong answer, or an undifferentiated error — through both surfaces:
+// Engine and the wire protocol. The expected
 // Status for each probe is taken from CheckRequestAgainstCapabilities,
 // the single shared gate, so this sweep fails if an implementation
 // drifts from the documented table (docs/capabilities.md).
@@ -12,11 +12,9 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/search_backend.h"
 #include "io/generator.h"
 #include "net/protocol.h"
 #include "net/server.h"
-#include "shard/sharded_engine.h"
 #include "storm/wire_client.h"
 #include "support/temp_dir.h"
 
@@ -85,31 +83,31 @@ std::vector<GapProbe> GapProbes(const EngineCapabilities& caps) {
 
 /// Every gap probe must fail with exactly the Status the shared
 /// capability gate documents, and that Status must be kNotSupported.
-void ExpectGapsTyped(SearchBackend* backend) {
-  const EngineCapabilities caps = backend->capabilities();
+void ExpectGapsTyped(Engine* engine) {
+  const EngineCapabilities caps = engine->capabilities();
   for (const GapProbe& probe : GapProbes(caps)) {
     const Status want = CheckRequestAgainstCapabilities(
-        caps, backend->series_length(), backend->algorithm_name(),
+        caps, engine->series_length(), engine->algorithm_name(),
         ProbeQuery(), probe.request);
-    ASSERT_FALSE(want.ok()) << backend->algorithm_name() << " " << probe.name;
+    ASSERT_FALSE(want.ok()) << engine->algorithm_name() << " " << probe.name;
     EXPECT_EQ(want.code(), StatusCode::kNotSupported)
-        << backend->algorithm_name() << " " << probe.name;
-    auto got = backend->Search(ProbeQuery(), probe.request);
-    ASSERT_FALSE(got.ok()) << backend->algorithm_name() << " " << probe.name;
+        << engine->algorithm_name() << " " << probe.name;
+    auto got = engine->Search(ProbeQuery(), probe.request);
+    ASSERT_FALSE(got.ok()) << engine->algorithm_name() << " " << probe.name;
     EXPECT_EQ(got.status().code(), want.code())
-        << backend->algorithm_name() << " " << probe.name << ": "
+        << engine->algorithm_name() << " " << probe.name << ": "
         << got.status().ToString();
   }
 }
 
-/// A backend whose capabilities say no appends must reject them typed.
-void ExpectAppendGapTyped(SearchBackend* backend) {
-  if (backend->capabilities().append) return;
+/// An engine whose capabilities say no appends must reject them typed.
+void ExpectAppendGapTyped(Engine* engine) {
+  if (engine->capabilities().append) return;
   const Dataset extra = MakeData(2, 41);
-  auto report = backend->Append(extra);
-  ASSERT_FALSE(report.ok()) << backend->algorithm_name();
+  auto report = engine->Append(extra);
+  ASSERT_FALSE(report.ok()) << engine->algorithm_name();
   EXPECT_EQ(report.status().code(), StatusCode::kNotSupported)
-      << backend->algorithm_name();
+      << engine->algorithm_name();
 }
 
 TEST(CapabilityGapTest, EngineEveryFalseCellIsTyped) {
@@ -149,18 +147,6 @@ TEST(CapabilityGapTest, StreamedSourceNarrowsDtwToTypedRejection) {
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   ASSERT_FALSE((*engine)->capabilities().dtw);
   ExpectGapsTyped(engine->get());
-}
-
-TEST(CapabilityGapTest, ShardedEngineEveryFalseCellIsTyped) {
-  for (const Algorithm algorithm :
-       {Algorithm::kParis, Algorithm::kParisPlus, Algorithm::kMessi}) {
-    auto sharded =
-        ShardedEngine::Build(MakeData(), 4, BaseOptions(algorithm));
-    ASSERT_TRUE(sharded.ok())
-        << AlgorithmName(algorithm) << ": " << sharded.status().ToString();
-    ExpectGapsTyped(sharded->get());
-    ExpectAppendGapTyped(sharded->get());
-  }
 }
 
 // --- the wire surface -------------------------------------------------------

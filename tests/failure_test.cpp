@@ -4,7 +4,12 @@
 // wrong answers.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <thread>
 #include <unistd.h>
 
 #include "core/engine.h"
@@ -108,6 +113,54 @@ TEST(FailureTest, ParisPipelineUnwindsOnMidStreamReadError) {
     ASSERT_FALSE(index.ok()) << (plus ? "paris+" : "paris");
     EXPECT_EQ(index.status().code(), StatusCode::kIoError);
   }
+}
+
+TEST(FailureTest, ParisPipelineUnwindsWhenTheFirstReadFails) {
+  // The coordinator fails its first read while the workers are still
+  // reaching their first wait for a published batch. A failure flag
+  // raised between a worker's check and its wait must still wake it,
+  // so every build has to return; a lost wakeup hangs one build in a
+  // few thousand, so this repeats the build and stops on a stall.
+  constexpr int kBuilds = 2000;
+  std::atomic<int> finished{0};
+  std::atomic<int> wrong{0};
+  std::thread builds([&] {
+    for (int i = 0; i < kBuilds; ++i) {
+      ParisBuildOptions build;
+      build.num_workers = 4;
+      build.plus_mode = i % 2 == 1;
+      build.batch_series = 64;
+      build.tree.segments = 8;
+      build.tree.leaf_capacity = 16;
+      build.tree.series_length = 64;
+      build.leaf_storage_path = TempPath("first_read_fail.leaves");
+      FailingSourceOptions fail;
+      fail.fail_after_id = 16;
+      auto index = ParisIndex::Build(
+          std::make_unique<FailingSource>(200, 64, fail), build);
+      if (index.ok() || index.status().code() != StatusCode::kIoError) {
+        wrong.fetch_add(1);
+      }
+      finished.fetch_add(1);
+    }
+  });
+  int last = 0;
+  auto progress = std::chrono::steady_clock::now();
+  while (last < kBuilds) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int now = finished.load();
+    if (now != last) {
+      last = now;
+      progress = std::chrono::steady_clock::now();
+    } else if (std::chrono::steady_clock::now() - progress >
+               std::chrono::seconds(10)) {
+      // The stuck build's threads cannot be joined; end the process.
+      std::fprintf(stderr, "build %d of %d never returned\n", now + 1, kBuilds);
+      std::_Exit(1);
+    }
+  }
+  builds.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(FailureTest, ParisPipelineUnwindsOnByteBudgetExhaustion) {

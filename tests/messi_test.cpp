@@ -148,8 +148,15 @@ TEST(MessiTest, ParallelStage3LosesNoCounts) {
   // the inline search's nodes_visited: the per-worker counts merge
   // without loss, also on the 24-series collection, whose few roots fit
   // one claim batch and leave three workers with nothing to traverse.
+  // Every exact search also times both stages: 3a as the filter phase,
+  // 3b as the refine phase.
   ThreadPool pool(4);
   InlineExecutor inline_exec;
+  const auto expect_phases_timed = [](const QueryStats& stats,
+                                      const std::string& where) {
+    EXPECT_GT(stats.filter_phase_seconds, 0.0) << where;
+    EXPECT_GT(stats.refine_phase_seconds, 0.0) << where;
+  };
   for (const size_t count : {size_t{3000}, size_t{24}}) {
     const Dataset data = MakeData(count);
     auto index = MessiIndex::Build(Mem(data), SmallBuild(4), &pool);
@@ -177,6 +184,8 @@ TEST(MessiTest, ParallelStage3LosesNoCounts) {
         ExpectSameNeighbors({nn}, {*nn_b}, where + " ed-nn pool");
         EXPECT_GT(nn_inline.nodes_visited, 0u) << where;
         EXPECT_EQ(nn_inline.nodes_visited, nn_pool.nodes_visited) << where;
+        expect_phases_timed(nn_inline, where + " ed-nn inline");
+        expect_phases_timed(nn_pool, where + " ed-nn pool");
 
         QueryStats knn_inline, knn_pool;
         auto knn_a = (*index)->SearchKnn(query, 10, qopts, &inline_exec,
@@ -187,6 +196,8 @@ TEST(MessiTest, ParallelStage3LosesNoCounts) {
         ExpectSameNeighbors(knn, *knn_a, where + " ed-knn inline");
         ExpectSameNeighbors(knn, *knn_b, where + " ed-knn pool");
         EXPECT_EQ(knn_inline.nodes_visited, knn_pool.nodes_visited) << where;
+        expect_phases_timed(knn_inline, where + " ed-knn inline");
+        expect_phases_timed(knn_pool, where + " ed-knn pool");
 
         QueryStats dtw_inline, dtw_pool;
         auto dtw_a = (*index)->SearchExactDtw(query, qopts, &inline_exec,
@@ -197,6 +208,8 @@ TEST(MessiTest, ParallelStage3LosesNoCounts) {
         ExpectSameNeighbors({dtw}, {*dtw_a}, where + " dtw inline");
         ExpectSameNeighbors({dtw}, {*dtw_b}, where + " dtw pool");
         EXPECT_EQ(dtw_inline.nodes_visited, dtw_pool.nodes_visited) << where;
+        expect_phases_timed(dtw_inline, where + " dtw inline");
+        expect_phases_timed(dtw_pool, where + " dtw pool");
       }
     }
   }

@@ -10,10 +10,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,7 +26,6 @@
 #include "net/server.h"
 #include "scan/ucr_scan.h"
 #include "serve/query_service.h"
-#include "shard/sharded_engine.h"
 #include "util/cancellation.h"
 
 namespace parisax {
@@ -470,18 +471,17 @@ class TestClient {
 
 struct ServerFixture {
   Dataset oracle;  // mirror of the served collection
-  std::unique_ptr<Engine> engine;          // num_shards == 1
-  std::unique_ptr<ShardedEngine> sharded;  // num_shards > 1
-  SearchBackend* backend = nullptr;
+  std::unique_ptr<Engine> engine;
   std::unique_ptr<Server> server;
 };
 
-/// Serves `count` series over `num_shards` engine shards (1: a plain
-/// Engine); `oracle` stays an exact client-side mirror (Dataset::Append
-/// keeps it in lockstep after wire appends). The server speaks
-/// SearchBackend either way — the wire tests cannot tell the backends
-/// apart, which is exactly the property under test.
-ServerFixture StartServer(size_t count, uint64_t seed, size_t num_shards,
+/// Serves `count` series over one MESSI engine that receives them in
+/// `pieces` parts -- built over the first, the rest appended -- so it
+/// serves the collection from `pieces` index segments (the background
+/// compactor waits for eight). `oracle` stays an exact
+/// client-side mirror (Dataset::Append keeps it in lockstep after wire
+/// appends).
+ServerFixture StartServer(size_t count, uint64_t seed, size_t pieces,
                           ServerOptions sopts = {}) {
   ServerFixture fx;
   fx.oracle = MakeData(count, seed);
@@ -489,26 +489,33 @@ ServerFixture StartServer(size_t count, uint64_t seed, size_t num_shards,
   eopts.num_threads = 2;
   eopts.tree.segments = 8;
   eopts.tree.leaf_capacity = 32;
-  if (num_shards > 1) {
-    auto sharded =
-        ShardedEngine::Build(MakeData(count, seed), num_shards, eopts);
-    if (!sharded.ok()) {
-      ADD_FAILURE() << sharded.status().ToString();
-      return fx;
+  // Rows [first, first + n) of the collection as their own dataset.
+  auto rows = [&fx](size_t first, size_t n) {
+    Dataset out(n, fx.oracle.length());
+    for (size_t i = 0; i < n; ++i) {
+      const SeriesView src = fx.oracle.series(first + i);
+      std::copy(src.begin(), src.end(), out.mutable_series(i).begin());
     }
-    fx.sharded = std::move(*sharded);
-    fx.backend = fx.sharded.get();
-  } else {
-    auto engine = Engine::Build(SourceSpec::InMemory(MakeData(count, seed)),
-                                eopts);
-    if (!engine.ok()) {
-      ADD_FAILURE() << engine.status().ToString();
-      return fx;
-    }
-    fx.engine = std::move(*engine);
-    fx.backend = fx.engine.get();
+    return out;
+  };
+  const size_t part = count / pieces;
+  size_t first = count - part * (pieces - 1);
+  auto engine = Engine::Build(SourceSpec::InMemory(rows(0, first)), eopts);
+  if (!engine.ok()) {
+    ADD_FAILURE() << engine.status().ToString();
+    return fx;
   }
-  auto server = Server::Start(fx.backend, sopts);
+  fx.engine = std::move(*engine);
+  for (; first < count; first += part) {
+    auto report = fx.engine->Append(rows(first, part));
+    if (!report.ok()) {
+      ADD_FAILURE() << report.status().ToString();
+      return fx;
+    }
+  }
+  EXPECT_EQ(fx.engine->segmented_index()->serving()->segments.size(),
+            pieces - 1);
+  auto server = Server::Start(fx.engine.get(), sopts);
   if (!server.ok()) {
     ADD_FAILURE() << server.status().ToString();
     return fx;
@@ -517,8 +524,10 @@ ServerFixture StartServer(size_t count, uint64_t seed, size_t num_shards,
   return fx;
 }
 
-/// The live-server suite runs identically over a single engine and a
-/// 4-shard router: same frames, same oracle-exact answers.
+/// The live-server suite runs identically over a collection served
+/// from one segment and from four: same frames, same oracle-exact
+/// answers. (The suite and case names date from when the four pieces
+/// were four engines behind a router.)
 class ServerShardTest : public ::testing::TestWithParam<size_t> {};
 
 QueryFrame WireQuery(uint64_t request_id, SeriesView query) {
@@ -946,7 +955,7 @@ TEST_P(ServerShardTest, ConcurrentQueryAppendStatsStorm) {
 
   // Settled phase over the grown collection.
   fx.oracle.Append(extra.raw(), extra.count());
-  ASSERT_EQ(fx.backend->series_count(), fx.oracle.count());
+  ASSERT_EQ(fx.engine->series_count(), fx.oracle.count());
   TestClient client(fx.server->port());
   ASSERT_TRUE(client.connected());
   for (size_t q = 0; q < queries.count(); ++q) {

@@ -14,6 +14,7 @@
 #include "io/generator.h"
 #include "scan/ucr_scan.h"
 #include "serve/query_service.h"
+#include "support/latched_source.h"
 #include "util/threading.h"
 
 namespace parisax {
@@ -118,6 +119,47 @@ TEST(QueryServiceTest, BatchMatchesOracleUnderEveryPolicy) {
       EXPECT_EQ(stats.ran_inline, 0u);
     }
   }
+}
+
+// kAuto takes the parallel path only for a query that is alone in the
+// service. The first query starts alone and parks inside the engine; a
+// second expensive query submitted while it is still executing finds
+// the deques empty but one query in flight, so it must run inline
+// instead of queueing on the engine's pool. The latch opens only once
+// both queries are executing, so each decision sees a fixed state.
+TEST(QueryServiceTest, AutoGoesParallelOnlyForALoneQuery) {
+  const Dataset data = MakeData(300, 29);
+  const Dataset queries = MakeQueries(2, 29);
+  auto latched = std::make_unique<testsupport::LatchedSource>(
+      std::make_unique<InMemorySource>(&data), /*readers=*/2);
+  const testsupport::LatchedSource* latch = latched.get();
+  EngineOptions options;
+  options.algorithm = Algorithm::kUcrSerial;
+  options.num_threads = 2;
+  auto engine = Engine::Build(SourceSpec::Custom(std::move(latched)), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  QueryServiceOptions sopts;
+  sopts.num_threads = 2;
+  sopts.policy = SchedulingPolicy::kAuto;
+  sopts.parallel_cost_threshold = 1.0;  // every exact query clears it
+  auto service = QueryService::Create(engine->get(), sopts);
+  ASSERT_TRUE(service.ok());
+
+  auto first = (*service)->Submit(queries.series(0));
+  latch->WaitParked(1);
+  auto second = (*service)->Submit(queries.series(1));
+  for (size_t q = 0; q < 2; ++q) {
+    auto response = (q == 0 ? first : second).get();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    const Neighbor oracle =
+        BruteForceNn(InMemorySource(&data), queries.series(q));
+    EXPECT_EQ(response->neighbors[0].id, oracle.id);
+    EXPECT_EQ(response->neighbors[0].distance_sq, oracle.distance_sq);
+  }
+  const ServeStats stats = (*service)->stats();
+  EXPECT_EQ(stats.ran_parallel, 1u);  // the first: alone when it started
+  EXPECT_EQ(stats.ran_inline, 1u);    // the second: one already in flight
 }
 
 // A storm of simultaneous Submits with mixed request types: ED 1-NN,

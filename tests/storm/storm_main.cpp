@@ -36,7 +36,7 @@ void PrintUsage() {
       stderr,
       "usage: storm_test [--seed=N | --seeds=LO..HI] --profile=NAME\n"
       "                  [--backend=messi|paris|paris+]\n"
-      "                  [--residency=in-memory|mmap|file] [--shards=1|4]\n"
+      "                  [--residency=in-memory|mmap|file]\n"
       "                  [--wire=on|off] [--series=N] [--length=N]\n"
       "                  [--ops=N] [--actors=N]\n"
       "                  [--dump-plan] [--shrink] [--list-profiles]\n");
@@ -78,8 +78,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli) {
       cli->overrides.backend = value;
     } else if (key == "--residency") {
       cli->overrides.residency = value;
-    } else if (key == "--shards" && ParseU64(value, &n)) {
-      cli->overrides.shards = n;
     } else if (key == "--wire") {
       cli->overrides.wire = value != "off" && value != "0";
     } else if (key == "--series" && ParseU64(value, &n)) {
@@ -114,7 +112,6 @@ std::string ReproLine(uint64_t seed, const CliOptions& cli) {
   const StormOverrides& o = cli.overrides;
   if (o.backend) line += " --backend=" + *o.backend;
   if (o.residency) line += " --residency=" + *o.residency;
-  if (o.shards) line += " --shards=" + std::to_string(*o.shards);
   if (o.wire) line += std::string(" --wire=") + (*o.wire ? "on" : "off");
   if (o.initial_series) {
     line += " --series=" + std::to_string(*o.initial_series);

@@ -16,11 +16,8 @@ struct OpWeight {
 
 /// The profile mixes. Weights are relative; rows with weight 0 are
 /// never drawn. Wire-only ops get nonzero weight only when the config
-/// runs through the server, and kRebuildFail only on unsharded engines
-/// (ShardedEngine builds from a Dataset — there is no source seam to
-/// inject a failure into).
-std::vector<OpWeight> ProfileWeights(const std::string& profile,
-                                     bool wire, bool sharded) {
+/// runs through the server.
+std::vector<OpWeight> ProfileWeights(const std::string& profile, bool wire) {
   std::vector<OpWeight> w;
   if (profile == "query-heavy") {
     w = {{StormOpKind::kQueryNn, 30},    {StormOpKind::kQueryKnn, 20},
@@ -50,7 +47,6 @@ std::vector<OpWeight> ProfileWeights(const std::string& profile,
                   row.kind == StormOpKind::kWireHealth)) {
       row.weight = 0;
     }
-    if (sharded && row.kind == StormOpKind::kRebuildFail) row.weight = 0;
   }
   return w;
 }
@@ -155,20 +151,9 @@ Result<StormPlan> MakeStormPlan(uint64_t seed, const std::string& profile,
                                    : Algorithm::kParis;
   }
 
-  if (overrides.shards.has_value()) {
-    if (*overrides.shards != 1 && *overrides.shards != 4) {
-      return Status::InvalidArgument("storm shard counts are 1 and 4");
-    }
-    config.shards = *overrides.shards;
-  } else {
-    config.shards = cfg_rng.NextBelow(4) == 0 ? 4 : 1;
-  }
-
   if (overrides.residency.has_value()) {
     PARISAX_ASSIGN_OR_RETURN(config.residency,
                              ParseResidencyOverride(*overrides.residency));
-  } else if (config.shards > 1) {
-    config.residency = SourceResidency::kOwnedMemory;
   } else {
     const uint64_t pick = cfg_rng.NextBelow(100);
     config.residency = pick < 45   ? SourceResidency::kOwnedMemory
@@ -179,18 +164,12 @@ Result<StormPlan> MakeStormPlan(uint64_t seed, const std::string& profile,
     }
   }
 
-  // Contradiction checks mirror Engine/ShardedEngine::Build's own rules
-  // so a bad CLI combination fails at plan time with a clear message.
+  // The contradiction check mirrors Engine::Build's own rule so a bad
+  // CLI combination fails at plan time with a clear message.
   if (!CanBuildOver(config.algorithm, config.residency)) {
     return Status::InvalidArgument(
         std::string(AlgorithmName(config.algorithm)) +
         " cannot build over a streamed source (no streaming_build)");
-  }
-  if (config.shards > 1 &&
-      config.residency != SourceResidency::kOwnedMemory) {
-    return Status::InvalidArgument(
-        "sharded storms build from an in-memory dataset; use "
-        "--residency=in-memory (or --shards=1)");
   }
 
   if (overrides.wire.has_value()) {
@@ -222,19 +201,17 @@ Result<StormPlan> MakeStormPlan(uint64_t seed, const std::string& profile,
   }
   if (overrides.ops.has_value()) config.ops = *overrides.ops;
   if (overrides.actors.has_value()) config.actors = *overrides.actors;
-  if (config.initial_series < config.shards ||
-      config.initial_series == 0 || config.series_length == 0 ||
+  if (config.initial_series == 0 || config.series_length == 0 ||
       config.actors == 0) {
     return Status::InvalidArgument(
-        "storm needs initial series >= shards (> 0), a positive series "
+        "storm needs at least one initial series, a positive series "
         "length and at least one actor");
   }
 
   // The op stream draws from its own generator, seeded independently of
   // the config stream.
   Rng rng(MixSeed(seed, 0x09501));
-  const auto weights =
-      ProfileWeights(profile, config.wire, config.shards > 1);
+  const auto weights = ProfileWeights(profile, config.wire);
 
   StormPlan plan;
   plan.config = config;
@@ -296,7 +273,7 @@ std::string DumpPlan(const StormPlan& plan) {
   out << "storm plan seed=" << c.seed << " profile=" << c.profile
       << " backend=" << AlgorithmName(c.algorithm)
       << " residency=" << SourceResidencyName(c.residency)
-      << " shards=" << c.shards << " wire=" << (c.wire ? "on" : "off")
+      << " wire=" << (c.wire ? "on" : "off")
       << " kind=" << DatasetKindName(c.kind)
       << " data_seed=" << c.data_seed << " series=" << c.initial_series
       << "x" << c.series_length << " ops=" << plan.ops.size()

@@ -1,7 +1,7 @@
 // The storm operation grammar and the seeded plan generator.
 //
-// One uint64 seed determines everything: the backend configuration
-// (algorithm x residency x shards x wire), the collection, and the full
+// One uint64 seed determines everything: the engine configuration
+// (algorithm x residency x wire), the collection, and the full
 // operation sequence — so `storm_test --seed=S --profile=P` is a
 // complete, bit-reproducible repro line. The generator draws only from
 // util/rng.h (deterministic across platforms); query and append
@@ -62,7 +62,6 @@ struct StormConfig {
   std::string profile = "query-heavy";
   Algorithm algorithm = Algorithm::kMessi;
   SourceResidency residency = SourceResidency::kOwnedMemory;
-  size_t shards = 1;   // 1: plain Engine; >1: ShardedEngine
   bool wire = false;   // drive through a live TCP Server
   DatasetKind kind = DatasetKind::kRandomWalk;
   uint64_t data_seed = 0;  // derived from seed
@@ -81,7 +80,6 @@ struct StormPlan {
 struct StormOverrides {
   std::optional<std::string> backend;    // "messi" | "paris" | "paris+"
   std::optional<std::string> residency;  // "in-memory" | "mmap" | "file"
-  std::optional<size_t> shards;          // 1 | 4
   std::optional<bool> wire;
   std::optional<size_t> initial_series;
   std::optional<size_t> series_length;

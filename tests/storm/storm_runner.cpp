@@ -1,6 +1,5 @@
 #include "storm/storm_runner.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -17,7 +16,6 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "serve/query_service.h"
-#include "shard/sharded_engine.h"
 #include "storm/wire_client.h"
 #include "storm/workload_model.h"
 #include "support/failing_source.h"
@@ -35,7 +33,7 @@ constexpr uint64_t kQuerySeedTag = 0x9C13;
 
 /// A fixed pool of actor threads draining one task queue. The driver
 /// dispatches query checks here and uses Drain() as the quiesce barrier
-/// before backend teardown. The queue lock is kLeaf and is never held
+/// before engine teardown. The queue lock is kLeaf and is never held
 /// while a task runs, so actor tasks may take engine locks freely.
 class ActorPool {
  public:
@@ -122,11 +120,11 @@ class StormRunner {
                config_.series_length) {}
 
   Result<StormReport> Run() {
-    PARISAX_RETURN_IF_ERROR(SetupBackend());
+    PARISAX_RETURN_IF_ERROR(SetupEngine());
     if (config_.wire) PARISAX_RETURN_IF_ERROR(StartServer());
     pool_ = std::make_unique<ActorPool>(config_.actors);
     for (size_t i = 0; i < plan_.ops.size(); ++i) {
-      if (backend_ == nullptr) break;  // lost beyond recovery
+      if (engine_ == nullptr) break;  // lost beyond recovery
       ExecuteOp(i, plan_.ops[i]);
     }
     pool_->Drain();
@@ -143,7 +141,6 @@ class StormRunner {
     report.stats.rejections_predicted = stats_.rejections_predicted.load();
     report.stats.deadlines_expired = stats_.deadlines_expired.load();
     report.stats.overloaded = stats_.overloaded.load();
-    report.stats.relaxed_checks = stats_.relaxed_checks.load();
     report.stats.appends = stats_.appends.load();
     report.stats.saves = stats_.saves.load();
     report.stats.compacts = stats_.compacts.load();
@@ -160,7 +157,7 @@ class StormRunner {
  private:
   // --- setup ---------------------------------------------------------------
 
-  Status SetupBackend() {
+  Status SetupEngine() {
     eopts_.algorithm = config_.algorithm;
     eopts_.num_threads = 2;
     eopts_.tree.segments = 8;
@@ -169,13 +166,6 @@ class StormRunner {
 
     Dataset initial = model_.CopyData();
     residency_ = config_.residency;
-    if (config_.shards > 1) {
-      PARISAX_ASSIGN_OR_RETURN(
-          sharded_, ShardedEngine::Build(std::move(initial), config_.shards,
-                                         eopts_));
-      backend_ = sharded_.get();
-      return Status::OK();
-    }
     SourceSpec spec = SourceSpec::InMemory(std::move(initial));
     if (config_.residency != SourceResidency::kOwnedMemory) {
       data_file_ = tmp_.Path("data.bin");
@@ -189,7 +179,6 @@ class StormRunner {
     }
     PARISAX_ASSIGN_OR_RETURN(engine_,
                              Engine::Build(std::move(spec), eopts_));
-    backend_ = engine_.get();
     return Status::OK();
   }
 
@@ -197,7 +186,7 @@ class StormRunner {
     ServerOptions sopts;
     sopts.serve_threads = 3;
     sopts.max_inflight = 64;
-    PARISAX_ASSIGN_OR_RETURN(server_, Server::Start(backend_, sopts));
+    PARISAX_ASSIGN_OR_RETURN(server_, Server::Start(engine_.get(), sopts));
     port_.store(server_->port(), std::memory_order_release);
     return Status::OK();
   }
@@ -301,8 +290,8 @@ class StormRunner {
   Status PredictAdmission(SeriesView query,
                           const SearchRequest& request) const {
     return CheckRequestAgainstCapabilities(
-        backend_->capabilities(), backend_->series_length(),
-        backend_->algorithm_name(), query, request);
+        engine_->capabilities(), engine_->series_length(),
+        engine_->algorithm_name(), query, request);
   }
 
   void RunQuery(size_t index, const StormOp& op) {
@@ -323,7 +312,7 @@ class StormRunner {
     if (op.timeout_us != 0) {
       submit.timeout = std::chrono::microseconds(op.timeout_us);
     }
-    auto pending = backend_->TrySubmit(query, request, submit);
+    auto pending = engine_->TrySubmit(query, request, submit);
     if (!pending.ok()) {
       if (pending.status().code() == StatusCode::kOverloaded) {
         ++stats_.overloaded;
@@ -467,9 +456,8 @@ class StormRunner {
 
   /// Exact-oracle check: the answer must byte-match the brute-force
   /// oracle at some batch-boundary prefix in the query's execution
-  /// window. ShardedEngine publishes its shards independently, so a
-  /// query overlapping an in-flight sharded append may see a non-prefix
-  /// subset; only then do we fall back to well-formedness bounds.
+  /// window. An append publishes its whole batch in one step, so every
+  /// answer has such a prefix; there is no weaker fallback.
   void CheckAnswer(size_t index, const StormOp& op,
                    const SearchRequest& request, SeriesView query,
                    size_t n_lo, const std::vector<Neighbor>& got) {
@@ -497,10 +485,6 @@ class StormRunner {
       }
     }
 
-    if (config_.shards > 1 && candidates.size() > 1) {
-      CheckRelaxedSharded(index, op, request, query, candidates, got);
-      return;
-    }
     std::ostringstream what;
     what << "answer matches no candidate prefix in [" << n_lo << ", "
          << n_hi << "]: got " << DescribeNeighbors(got)
@@ -518,81 +502,6 @@ class StormRunner {
                   model_.ExactNn(query, candidates.back())};
             }());
     Fail(index, op, what.str());
-  }
-
-  /// A sharded query racing an append can see any subset S with
-  /// prefix(n_lo) ⊆ S ⊆ prefix(n_hi): per-rank distances are bounded by
-  /// the oracles at the window edges, every id must be live, and every
-  /// distance must recompute exactly.
-  void CheckRelaxedSharded(size_t index, const StormOp& op,
-                           const SearchRequest& request, SeriesView query,
-                           const std::vector<size_t>& candidates,
-                           const std::vector<Neighbor>& got) {
-    const size_t n_lo = candidates.front();
-    const size_t n_hi = candidates.back();
-    const size_t want_lo =
-        request.k > 1 ? std::min(request.k, n_lo) : size_t{1};
-    const size_t want_hi =
-        request.k > 1 ? std::min(request.k, n_hi) : size_t{1};
-    if (got.size() < want_lo || got.size() > want_hi) {
-      Fail(index, op,
-           "relaxed check: answer size " + std::to_string(got.size()) +
-               " outside [" + std::to_string(want_lo) + ", " +
-               std::to_string(want_hi) + "]");
-      return;
-    }
-    for (size_t i = 0; i < got.size(); ++i) {
-      if (got[i].id >= n_hi) {
-        Fail(index, op,
-             "relaxed check: id " + std::to_string(got[i].id) +
-                 " beyond the window's upper count " +
-                 std::to_string(n_hi));
-        return;
-      }
-      if (i > 0 && !(got[i - 1].distance_sq < got[i].distance_sq ||
-                     (got[i - 1].distance_sq == got[i].distance_sq &&
-                      got[i - 1].id < got[i].id))) {
-        Fail(index, op, "relaxed check: answer not sorted by "
-                        "(distance, id)");
-        return;
-      }
-      if (!request.dtw &&
-          model_.DistanceTo(query, got[i].id) != got[i].distance_sq) {
-        Fail(index, op,
-             "relaxed check: distance for id " +
-                 std::to_string(got[i].id) + " does not recompute");
-        return;
-      }
-    }
-    // Rank-wise bounds: more data can only improve each rank.
-    std::vector<Neighbor> lo_oracle, hi_oracle;
-    if (request.dtw) {
-      lo_oracle = {model_.ExactDtwNn(query, request.dtw_band, n_lo)};
-      hi_oracle = {model_.ExactDtwNn(query, request.dtw_band, n_hi)};
-    } else if (request.k > 1) {
-      lo_oracle = model_.ExactKnn(query, request.k, n_lo);
-      hi_oracle = model_.ExactKnn(query, request.k, n_hi);
-    } else {
-      lo_oracle = {model_.ExactNn(query, n_lo)};
-      hi_oracle = {model_.ExactNn(query, n_hi)};
-    }
-    for (size_t i = 0; i < got.size(); ++i) {
-      if (i < lo_oracle.size() &&
-          got[i].distance_sq > lo_oracle[i].distance_sq) {
-        Fail(index, op,
-             "relaxed check: rank " + std::to_string(i) +
-                 " worse than the window-floor oracle");
-        return;
-      }
-      if (i < hi_oracle.size() &&
-          got[i].distance_sq < hi_oracle[i].distance_sq) {
-        Fail(index, op,
-             "relaxed check: rank " + std::to_string(i) +
-                 " better than the full-window oracle");
-        return;
-      }
-    }
-    ++stats_.relaxed_checks;
   }
 
   /// An approximate probe must return one live id whose distance
@@ -655,7 +564,7 @@ class StormRunner {
         return;
       }
     } else {
-      auto report = backend_->Append(values.data(), op.append_count);
+      auto report = engine_->Append(values.data(), op.append_count);
       if (!report.ok()) {
         Fail(index, op,
              "append failed: " + report.status().ToString());
@@ -673,7 +582,7 @@ class StormRunner {
   }
 
   void DoSave(size_t index, const StormOp& op) {
-    const Status s = backend_->Save(SnapshotPath(op.variant));
+    const Status s = engine_->Save(SnapshotPath(op.variant));
     if (!s.ok()) {
       Fail(index, op, "save failed: " + s.ToString());
       return;
@@ -682,7 +591,7 @@ class StormRunner {
   }
 
   void DoCompact(size_t index, const StormOp& op) {
-    const Status s = backend_->Compact(
+    const Status s = engine_->Compact(
         tmp_.Path("compact" + std::to_string(op.variant)));
     if (!s.ok()) {
       Fail(index, op, "compact failed: " + s.ToString());
@@ -695,7 +604,7 @@ class StormRunner {
     return tmp_.Path("snap" + std::to_string(variant));
   }
 
-  // --- backend swaps (driver thread, quiesced) -----------------------------
+  // --- engine swaps (driver thread, quiesced) ------------------------------
 
   void DoReopen(size_t index, const StormOp& op) {
     pool_->Drain();
@@ -703,54 +612,38 @@ class StormRunner {
 
     const std::string snap =
         tmp_.Path("reopen" + std::to_string(reopen_counter_++));
-    Status s = backend_->Save(snap);
+    Status s = engine_->Save(snap);
+    std::string data = data_file_;
+    if (s.ok() && residency_ == SourceResidency::kOwnedMemory) {
+      // No backing file yet: materialize the model collection (the
+      // quiesced engine holds exactly the same series).
+      data = tmp_.Path("reopen_data" + std::to_string(reopen_counter_) +
+                       ".bin");
+      s = WriteDataset(model_.CopyData(), data);
+    }
     if (s.ok()) {
-      if (config_.shards > 1) {
-        sharded_.reset();
-        backend_ = nullptr;
-        auto reopened = ShardedEngine::Open(snap);
-        if (reopened.ok()) {
-          sharded_ = std::move(*reopened);
-          backend_ = sharded_.get();
-        } else {
-          s = reopened.status();
-        }
+      engine_.reset();
+      auto reopened = Engine::Open(snap, data);
+      if (reopened.ok()) {
+        engine_ = std::move(*reopened);
+        data_file_ = data;
+        residency_ = SourceResidency::kMmap;
       } else {
-        std::string data = data_file_;
-        if (residency_ == SourceResidency::kOwnedMemory) {
-          // No backing file yet: materialize the model collection (the
-          // quiesced backend holds exactly the same series).
-          data = tmp_.Path("reopen_data" +
-                           std::to_string(reopen_counter_) + ".bin");
-          s = WriteDataset(model_.CopyData(), data);
-        }
-        if (s.ok()) {
-          engine_.reset();
-          backend_ = nullptr;
-          auto reopened = Engine::Open(snap, data);
-          if (reopened.ok()) {
-            engine_ = std::move(*reopened);
-            backend_ = engine_.get();
-            data_file_ = data;
-            residency_ = SourceResidency::kMmap;
-          } else {
-            s = reopened.status();
-          }
-        }
+        s = reopened.status();
       }
     }
 
     if (!s.ok()) {
       Fail(index, op, "reopen failed: " + s.ToString());
-      if (backend_ == nullptr) RecoverByRebuild(index, op);
+      if (engine_ == nullptr) RecoverByRebuild(index, op);
     } else {
       ++stats_.reopens;
     }
-    if (backend_ != nullptr && config_.wire) {
+    if (engine_ != nullptr && config_.wire) {
       const Status up = StartServer();
       if (!up.ok()) {
         Fail(index, op, "server restart failed: " + up.ToString());
-        backend_ = nullptr;  // wire plans cannot continue serverless
+        engine_.reset();  // wire plans cannot continue serverless
       }
     }
   }
@@ -764,32 +657,16 @@ class StormRunner {
       const Status up = StartServer();
       if (!up.ok()) {
         Fail(index, op, "server restart failed: " + up.ToString());
-        backend_ = nullptr;
+        engine_.reset();
       }
     }
   }
 
   /// Fresh in-memory Build from the model collection. Returns false
-  /// (and clears backend_) when even that fails.
+  /// (and clears engine_) when even that fails.
   bool RecoverByRebuild(size_t index, const StormOp& op) {
     Dataset copy = model_.CopyData();
-    if (config_.shards > 1) {
-      sharded_.reset();
-      engine_.reset();
-      backend_ = nullptr;
-      auto built =
-          ShardedEngine::Build(std::move(copy), config_.shards, eopts_);
-      if (!built.ok()) {
-        Fail(index, op, "rebuild failed: " + built.status().ToString());
-        return false;
-      }
-      sharded_ = std::move(*built);
-      backend_ = sharded_.get();
-      return true;
-    }
-    sharded_.reset();
     engine_.reset();
-    backend_ = nullptr;
     auto built =
         Engine::Build(SourceSpec::InMemory(std::move(copy)), eopts_);
     if (!built.ok()) {
@@ -797,13 +674,12 @@ class StormRunner {
       return false;
     }
     engine_ = std::move(*built);
-    backend_ = engine_.get();
     residency_ = SourceResidency::kOwnedMemory;
     return true;
   }
 
   /// A Build over a tripping source must fail typed and leave the live
-  /// backend serving — exercised concurrently with in-flight queries.
+  /// engine serving — exercised concurrently with in-flight queries.
   void DoRebuildFail(size_t index, const StormOp& op) {
     testsupport::FailingSourceOptions fopts;
     fopts.fail_after_id = 16;
@@ -825,8 +701,8 @@ class StormRunner {
                built.status().ToString());
       return;
     }
-    if (backend_->series_count() != model_.count()) {
-      Fail(index, op, "live backend disturbed by the failed build");
+    if (engine_->series_count() != model_.count()) {
+      Fail(index, op, "live engine disturbed by the failed build");
       return;
     }
     ++stats_.failed_rebuilds;
@@ -1028,10 +904,8 @@ class StormRunner {
   size_t reopen_counter_ = 0;
 
   std::unique_ptr<Engine> engine_;
-  std::unique_ptr<ShardedEngine> sharded_;
-  SearchBackend* backend_ = nullptr;
-  /// Declared after the engines so it is destroyed first (it serves
-  /// them) on every exit path.
+  /// Declared after the engine so it is destroyed first (it serves it)
+  /// on every exit path.
   std::unique_ptr<Server> server_;
   std::atomic<uint16_t> port_{0};
 
@@ -1048,7 +922,6 @@ class StormRunner {
     std::atomic<size_t> rejections_predicted{0};
     std::atomic<size_t> deadlines_expired{0};
     std::atomic<size_t> overloaded{0};
-    std::atomic<size_t> relaxed_checks{0};
     std::atomic<size_t> appends{0};
     std::atomic<size_t> saves{0};
     std::atomic<size_t> compacts{0};
@@ -1074,14 +947,14 @@ std::string FormatReport(const StormPlan& plan, const StormReport& report) {
   out << (report.passed ? "PASS" : "FAIL") << " seed=" << c.seed
       << " profile=" << c.profile << " backend="
       << AlgorithmName(c.algorithm) << " residency="
-      << SourceResidencyName(c.residency) << " shards=" << c.shards
+      << SourceResidencyName(c.residency)
       << " wire=" << (c.wire ? "on" : "off") << " ops="
       << plan.ops.size() << " final_count=" << report.final_count << "\n";
   const StormStats& s = report.stats;
   out << "  checked=" << s.queries_checked << " rejected-as-predicted="
       << s.rejections_predicted << " deadline=" << s.deadlines_expired
-      << " overloaded=" << s.overloaded << " relaxed="
-      << s.relaxed_checks << " appends=" << s.appends << " saves="
+      << " overloaded=" << s.overloaded << " appends=" << s.appends
+      << " saves="
       << s.saves << " compacts=" << s.compacts << " reopens="
       << s.reopens << " rebuilds=" << s.rebuilds << " failed-rebuilds="
       << s.failed_rebuilds << " garbage=" << s.wire_garbage

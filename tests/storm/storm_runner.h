@@ -1,10 +1,10 @@
-// Executes a StormPlan against a live backend and checks every outcome
+// Executes a StormPlan against a live engine and checks every outcome
 // against the WorkloadModel oracle.
 //
 // One driver thread walks the plan in order: query ops are dispatched
 // to a pool of actor threads (so queries genuinely race the mutations),
 // while appends, saves, compactions and wire chaos run inline on the
-// driver; reopen/rebuild ops quiesce the actors, swap the backend, and
+// driver; reopen/rebuild ops quiesce the actors, swap the engine, and
 // resume. Every completed query must match the brute-force oracle at
 // some batch-boundary prefix its execution window allows; every typed
 // rejection must be exactly the Status CheckRequestAgainstCapabilities
@@ -32,7 +32,6 @@ struct StormStats {
   size_t rejections_predicted = 0; ///< typed rejections matching the oracle
   size_t deadlines_expired = 0;    ///< legal kDeadlineExceeded outcomes
   size_t overloaded = 0;           ///< legal kOverloaded admission rejections
-  size_t relaxed_checks = 0;       ///< sharded mid-append window checks
   size_t appends = 0;
   size_t saves = 0;
   size_t compacts = 0;

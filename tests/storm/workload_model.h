@@ -1,5 +1,5 @@
 // The storm harness's deterministic oracle: a brute-force model of the
-// collection a SearchBackend is expected to serve.
+// collection an Engine is expected to serve.
 //
 // The model is plain data — a growing Dataset mirror plus the list of
 // batch-boundary counts — and answers queries with the repository's

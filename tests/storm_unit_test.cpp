@@ -63,14 +63,13 @@ TEST(StormPlanTest, OverridesAreRespected) {
   StormOverrides overrides;
   overrides.backend = "messi";
   overrides.residency = "in-memory";
-  overrides.shards = 1;
   overrides.wire = false;
   overrides.ops = 12;
   overrides.actors = 2;
   auto plan = MakeStormPlan(3, "query-heavy", overrides);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan->config.algorithm, Algorithm::kMessi);
-  EXPECT_EQ(plan->config.shards, 1u);
+  EXPECT_EQ(plan->config.residency, SourceResidency::kOwnedMemory);
   EXPECT_FALSE(plan->config.wire);
   EXPECT_EQ(plan->ops.size(), 12u);
   EXPECT_EQ(plan->config.actors, 2u);
@@ -84,9 +83,9 @@ TEST(StormPlanTest, ContradictoryOverridesAreTypedErrors) {
     EXPECT_FALSE(MakeStormPlan(1, "chaos", overrides).ok());
   }
   {
-    // sharded engines only build in memory.
+    // MESSI cannot build over a streamed source.
     StormOverrides overrides;
-    overrides.shards = 4;
+    overrides.backend = "messi";
     overrides.residency = "file";
     EXPECT_FALSE(MakeStormPlan(1, "query-heavy", overrides).ok());
   }
@@ -214,13 +213,12 @@ TEST(FailingSourceTest, AppendTripAndAppendableGate) {
 
 TEST(StormRunTest, ShortRunPerProfilePasses) {
   // A fast end-to-end smoke per profile: small plan, forced in-memory
-  // single-shard messi so the whole matrix stays in milliseconds. The
+  // messi so the whole matrix stays in milliseconds. The
   // broad config sweep lives in the storm_test ctest entries.
   for (const std::string& profile : StormProfiles()) {
     StormOverrides overrides;
     overrides.backend = "messi";
     overrides.residency = "in-memory";
-    overrides.shards = 1;
     overrides.initial_series = 96;
     overrides.ops = 12;
     overrides.actors = 2;

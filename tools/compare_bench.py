@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare bench JSON runs against a committed baseline.
 
-Python-stdlib only (CI runners need nothing installed). Two bench JSON
+Python-stdlib only (CI runners need nothing installed). These bench JSON
 dialects are understood:
 
   serve    serve_throughput's own JSON: results[] rows keyed by
@@ -18,10 +18,6 @@ dialects are understood:
   frontend serve_frontend's JSON: results[] rows keyed by "regime"
            (no_overload / overload), metric "qps" measured end-to-end
            through the TCP front end, higher is better.
-  scaling  shard_scaling's JSON: results[] rows keyed by shard count,
-           metric "build_speedup" (N-shard build vs single engine --
-           a hardware-portable ratio; the 1-shard reference row is
-           skipped), higher is better.
 
 Usage:
   compare_bench.py --kind serve --baseline bench/baselines/serve_throughput.json \
@@ -94,26 +90,12 @@ def load_frontend(path):
     return {row["regime"]: float(row["qps"]) for row in doc["results"]}
 
 
-def load_scaling(path):
-    """shard count -> build_speedup vs the single engine (a ratio, so it
-    transfers across runner hardware). Higher is better. The 1-shard row
-    is the 1.0 reference and is skipped."""
-    with open(path) as f:
-        doc = json.load(f)
-    return {
-        "shards%d" % row["shards"]: float(row["build_speedup"])
-        for row in doc["results"]
-        if row["shards"] != 1
-    }
-
-
 LOADERS = {
     "serve": (load_serve, "qps", "higher"),
     "frontend": (load_frontend, "qps", "higher"),
     "micro": (load_micro, "real_time_ns", "lower"),
     "persist": (load_persist, "load_speedup", "higher"),
     "append": (load_append, "delta_speedup", "higher"),
-    "scaling": (load_scaling, "build_speedup", "higher"),
 }
 
 

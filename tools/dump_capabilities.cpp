@@ -6,11 +6,8 @@
 // table cannot drift from what the engines actually do.
 #include <cstdio>
 #include <string>
-#include <utility>
 
 #include "core/engine.h"
-#include "io/generator.h"
-#include "shard/sharded_engine.h"
 
 namespace {
 
@@ -123,55 +120,6 @@ int main() {
       "  on-disk leaf storage fall back to synchronous folding.\n"
       "- `SourceSpec::Custom` engines are narrowed at runtime from the\n"
       "  live source (`addressable()`, `appendable()`), not from this\n"
-      "  table.\n"
-      "\n"
-      "## ShardedEngine\n"
-      "\n"
-      "A `ShardedEngine` (`src/shard/sharded_engine.h`) reports the\n"
-      "*intersection* of its shards' capabilities — min over `max k`,\n"
-      "AND over every flag — because the router can only promise what\n"
-      "every shard delivers. The rows below are read from live 2-shard\n"
-      "engines built over adopted in-memory partitions (the\n"
-      "`--shards=N` serving configuration), so they equal the\n"
-      "`in-memory` rows above; a heterogeneous mix would narrow to\n"
-      "whatever every member supports. A sharded checkpoint restores\n"
-      "every shard from its own snapshot and data file (see\n"
-      "`persist/shard_manifest.h`), so `snapshot` narrows exactly like\n"
-      "a single engine's.\n"
-      "\n"
-      "| algorithm | max k | dtw | dtw k-NN | approximate | snapshot | "
-      "append | background compaction |\n"
-      "|-----------|-------|-----|----------|-------------|----------|"
-      "--------|-----------------------|\n");
-
-  for (const Algorithm a : kAlgorithms) {
-    parisax::GeneratorOptions gen;
-    gen.count = 64;
-    gen.length = 32;
-    parisax::EngineOptions options;
-    options.algorithm = a;
-    options.num_threads = 1;
-    options.tree.segments = 8;
-    options.tree.leaf_capacity = 16;
-    options.background_compaction = false;
-    auto sharded = parisax::ShardedEngine::Build(
-        parisax::GenerateDataset(gen), 2, options);
-    if (!sharded.ok()) {
-      std::fprintf(stderr, "sharded %s build failed: %s\n", AlgorithmName(a),
-                   sharded.status().message().c_str());
-      return 1;
-    }
-    const EngineCapabilities caps = (*sharded)->capabilities();
-    std::printf("| `%s` | %s | %s | %s | %s | %s | %s | %s |\n",
-                AlgorithmName(a), MaxK(caps.max_k).c_str(), YesNo(caps.dtw),
-                YesNo(caps.dtw_knn), YesNo(caps.approximate),
-                YesNo(caps.snapshot), YesNo(caps.append),
-                YesNo(caps.background_compaction));
-  }
-
-  std::printf(
-      "\n"
-      "(`streamed build` is omitted: sharding partitions an in-memory\n"
-      "collection, so a sharded build is never streamed.)\n");
+      "  table.\n");
   return 0;
 }
