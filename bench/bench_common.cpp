@@ -11,7 +11,6 @@
 
 #include "io/format.h"
 #include "util/threading.h"
-#include "util/timer.h"
 
 namespace parisax {
 namespace bench {
@@ -22,8 +21,7 @@ namespace {
   std::cerr << "error: " << error << "\n"
             << "usage: " << argv0
             << " [--series N] [--queries N] [--length N]"
-            << " [--threads a,b,c] [--seed N] [--quick]"
-            << " [--clients a,b,c] [--json PATH] [--check]\n";
+            << " [--threads a,b,c] [--seed N] [--quick]\n";
   std::exit(2);
 }
 
@@ -60,15 +58,6 @@ BenchArgs ParseArgs(int argc, char** argv) {
       args.seed = std::strtoull(next().c_str(), nullptr, 10);
     } else if (flag == "--quick") {
       args.quick = true;
-    } else if (flag == "--clients") {
-      args.clients = ParseThreadList(next());
-      if (args.clients.empty()) {
-        Usage(argv[0], "--clients needs positive entries");
-      }
-    } else if (flag == "--json") {
-      args.json_path = next();
-    } else if (flag == "--check") {
-      args.check = true;
     } else if (flag == "--help" || flag == "-h") {
       Usage(argv[0], "help requested");
     } else {
@@ -167,11 +156,6 @@ std::string BuildTypeName() {
 #endif
 }
 
-std::string JsonMetaFields() {
-  return "\"git_sha\": \"" + GitSha() + "\", \"build_type\": \"" +
-         BuildTypeName() + "\"";
-}
-
 void PrintFigureHeader(const std::string& figure_id,
                        const std::string& description) {
   std::cout << "\n=== " << figure_id << ": " << description << " ===\n";
@@ -246,24 +230,6 @@ std::unique_ptr<FileSource> MustOpenFileSource(const std::string& path,
     std::exit(1);
   }
   return std::move(*source);
-}
-
-Result<QueryRunResult> RunQueries(Engine* engine, const Dataset& queries,
-                                  const SearchRequest& request) {
-  QueryRunResult result;
-  WallTimer timer;
-  for (SeriesId q = 0; q < queries.count(); ++q) {
-    SearchResponse response;
-    PARISAX_ASSIGN_OR_RETURN(response,
-                             engine->Search(queries.series(q), request));
-    result.stats.MergeCounters(response.stats);
-  }
-  result.total_seconds = timer.ElapsedSeconds();
-  result.mean_seconds =
-      queries.count() > 0 ? result.total_seconds /
-                                static_cast<double>(queries.count())
-                          : 0.0;
-  return result;
 }
 
 }  // namespace bench

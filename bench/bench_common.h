@@ -9,8 +9,6 @@
 //   --series N      collection size          --queries N   query count
 //   --length N      points per series        --seed N      generator seed
 //   --threads a,b,c worker-count sweep       --quick       tiny smoke run
-//   --clients a,b,c concurrent-client sweep  --json PATH   JSON output
-//   --check         exit non-zero when the bench's claim fails
 #ifndef PARISAX_BENCH_BENCH_COMMON_H_
 #define PARISAX_BENCH_BENCH_COMMON_H_
 
@@ -36,13 +34,6 @@ struct BenchArgs {
   std::vector<int> threads;
   uint64_t seed = 42;
   bool quick = false;
-  /// Concurrent-client sweep (serve benches); empty = bench default.
-  std::vector<int> clients;
-  /// Machine-readable JSON output path; empty = stdout tables only.
-  std::string json_path;
-  /// Exit non-zero when the bench's qualitative claim does not hold
-  /// (lets CI gate on the measurement instead of just recording it).
-  bool check = false;
 };
 
 /// Parses the common flags; exits with a usage message on error.
@@ -74,16 +65,12 @@ std::string FmtRatio(double ratio);
 std::string FmtCount(uint64_t n);
 
 /// The git SHA this binary was built from: $GITHUB_SHA when set (CI), else
-/// the SHA baked in at configure time, else "unknown". Recorded in every
-/// bench JSON so baseline comparisons are attributable.
+/// the SHA baked in at configure time, else "unknown". Recorded in
+/// micro_kernels' JSON so baseline comparisons are attributable.
 std::string GitSha();
 
 /// CMAKE_BUILD_TYPE baked in at configure time ("Release", "Debug", ...).
 std::string BuildTypeName();
-
-/// The `"git_sha": ..., "build_type": ...` fragment (no surrounding
-/// braces, no trailing comma) every bench JSON writer embeds.
-std::string JsonMetaFields();
 
 /// Prints the figure banner.
 void PrintFigureHeader(const std::string& figure_id,
@@ -125,15 +112,6 @@ std::unique_ptr<InMemorySource> MemSource(const Dataset& data);
 std::unique_ptr<FileSource> MustOpenFileSource(const std::string& path,
                                                DiskProfile random_profile,
                                                DiskProfile stream_profile);
-
-/// Mean wall seconds per query over the workload for one engine.
-struct QueryRunResult {
-  double mean_seconds = 0.0;
-  double total_seconds = 0.0;
-  QueryStats stats;  // counters summed over all queries
-};
-Result<QueryRunResult> RunQueries(Engine* engine, const Dataset& queries,
-                                  const SearchRequest& request = {});
 
 }  // namespace bench
 }  // namespace parisax

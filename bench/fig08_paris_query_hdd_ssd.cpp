@@ -68,7 +68,6 @@ int Run(const BenchArgs& args) {
     for (const int t : threads) {
       ThreadPool pool(t);
       ParisQueryOptions qopts;
-      qopts.num_workers = t;
       QueryStats stats;
       WallTimer timer;
       for (SeriesId q = 0; q < queries.count(); ++q) {

@@ -76,7 +76,6 @@ int Run(const BenchArgs& args) {
     const double ucr = ucr_timer.ElapsedSeconds() / queries.count();
 
     ParisQueryOptions paris_qopts;
-    paris_qopts.num_workers = t;
     WallTimer paris_timer;
     for (SeriesId q = 0; q < queries.count(); ++q) {
       auto nn = (*paris)->SearchExact(queries.series(q), paris_qopts,

@@ -72,7 +72,6 @@ int Run(const BenchArgs& args) {
       return 1;
     }
     ParisQueryOptions paris_qopts;
-    paris_qopts.num_workers = workers;
     WallTimer paris_timer;
     for (SeriesId q = 0; q < queries.count(); ++q) {
       auto nn = (*paris)->SearchExact(queries.series(q), paris_qopts,

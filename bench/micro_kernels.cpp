@@ -174,8 +174,8 @@ BENCHMARK(BM_ComputeEnvelope);
 }  // namespace parisax
 
 // BENCHMARK_MAIN plus attribution context: the JSON "context" block then
-// carries git_sha/build_type, which the CI bench-regression comparison
-// requires of every baseline artifact.
+// carries git_sha/build_type, so a baseline or CI artifact names the
+// build it timed.
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("git_sha", parisax::bench::GitSha());
   benchmark::AddCustomContext("build_type", parisax::bench::BuildTypeName());

@@ -110,7 +110,6 @@ int RunQueryDatasets(const BenchArgs& args, const DiskProfile& profile,
       }
       ThreadPool pool(workers);
       ParisQueryOptions qopts;
-      qopts.num_workers = workers;
       WallTimer timer;
       for (SeriesId q = 0; q < queries.count(); ++q) {
         auto nn = (*index)->SearchExact(queries.series(q), qopts, &pool);

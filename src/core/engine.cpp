@@ -59,13 +59,6 @@ const char* SchedulingPolicyName(SchedulingPolicy policy) {
   return "unknown";
 }
 
-Result<SchedulingPolicy> ParseSchedulingPolicy(const std::string& name) {
-  if (name == "throughput") return SchedulingPolicy::kThroughput;
-  if (name == "latency") return SchedulingPolicy::kLatency;
-  if (name == "auto") return SchedulingPolicy::kAuto;
-  return Status::InvalidArgument("unknown scheduling policy: " + name);
-}
-
 const EngineCapabilities& AlgorithmCapabilities(Algorithm algorithm) {
   // The single source of truth for what each engine family supports.
   // Engine::capabilities() narrows it by source residency; CheckQuery,
@@ -834,7 +827,6 @@ Result<SearchResponse> Engine::Search(SeriesView query,
             nn, paris_->SearchApproximate(query, &response.stats));
       } else {
         ParisQueryOptions qopts;
-        qopts.num_workers = exec->num_threads();
         qopts.kernel = options_.kernel;
         qopts.cancel = request.cancel;
         PARISAX_ASSIGN_OR_RETURN(
@@ -1006,17 +998,9 @@ Status Engine::CompactionPass() {
       return Status::OK();
     }
     const size_t seg_series = snap->segment_series();
-    // Replay budget: once the unfolded tail outgrows the budget, a
-    // major fold rebases everything (keeps restart replay and query
-    // merge width bounded). Budget 0 defers entirely to the size-tier
-    // rule.
-    const uint64_t budget =
-        static_cast<uint64_t>(options_.replay_budget_series);
-    const bool over_budget = budget > 0 && seg_series > budget;
     bool ok = false;
-    if (!over_budget &&
-        static_cast<double>(seg_series) * options_.size_tier_ratio <
-            static_cast<double>(snap->base_count)) {
+    if (static_cast<double>(seg_series) * options_.size_tier_ratio <
+        static_cast<double>(snap->base_count)) {
       // Minor: the tail is small relative to the base — merging the
       // run into one segment is cheap and keeps the base untouched.
       PARISAX_ASSIGN_OR_RETURN(

@@ -92,9 +92,6 @@ enum class SchedulingPolicy {
 /// Short lowercase name ("throughput", "latency", "auto").
 const char* SchedulingPolicyName(SchedulingPolicy policy);
 
-/// Parses a name produced by SchedulingPolicyName.
-Result<SchedulingPolicy> ParseSchedulingPolicy(const std::string& name);
-
 /// What an engine can do: one static table per algorithm (see
 /// AlgorithmCapabilities), narrowed per instance by the source it was
 /// built over (Engine::capabilities). CheckQuery, Save and Build derive
@@ -196,11 +193,6 @@ struct EngineOptions {
   /// The compactor acts once the serving snapshot holds at least this
   /// many segments.
   size_t compaction_trigger_segments = 8;
-  /// Replay-cost budget: once the segments jointly hold this many
-  /// series, the compactor must fold them into the base (bounding how
-  /// much segment data a restart would rehydrate from deltas). 0: no
-  /// budget — the size-tiered rule below decides alone.
-  size_t replay_budget_series = 0;
   /// Size-tiered pick: segments jointly holding fewer than
   /// base_count / size_tier_ratio series are merged into one segment
   /// (cheap, keeps the read-side fan-in small) instead of folded into

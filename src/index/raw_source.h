@@ -88,10 +88,13 @@ class RawSeriesSource {
   virtual bool appendable() const { return false; }
 
   /// Appends `count` series (count * length() values, row-major) to the
-  /// backing collection. ContiguousData()/TryView pointers obtained
-  /// before the call are invalidated; callers must exclude concurrent
-  /// readers for the duration (Engine's append gate does). Returns
-  /// kNotSupported when !appendable().
+  /// backing collection. Returns kNotSupported when !appendable(). The
+  /// addressable sources (an adopting InMemorySource, MmapSource) retire
+  /// the buffer they grow out of instead of freeing it, so
+  /// ContiguousData()/TryView pointers obtained before the call stay
+  /// valid: MESSI and ParIS/ParIS+ publish an append over them as a
+  /// segment while queries keep running. Engine still drains readers on
+  /// its gate while a scan engine or a streamed source appends.
   virtual Status AppendSeries(const Value* values, size_t count);
 };
 

@@ -16,6 +16,14 @@ namespace parisax {
 
 namespace {
 
+/// ParIS+ flushes a leaf once it holds at least this fraction of
+/// leaf_capacity in memory (lower = more eager flushing).
+constexpr double kFlushFillFraction = 0.5;
+/// SAX-array block size per Fetch&Inc claim in the filtering phase.
+constexpr size_t kFilterGrain = 4096;
+/// Candidates per Fetch&Inc claim in the refinement phase.
+constexpr size_t kRefineGrain = 4;
+
 /// One half of the double-buffered raw data buffer (Stage 1 <-> Stage 2).
 struct BatchSlot {
   Mutex mu{"ParisBuilder::BatchSlot::mu", LockRank::kBuildSlot};
@@ -58,7 +66,7 @@ class ParisBuilder {
         total_series_(total_series),
         recbufs_(options.tree.segments),
         flush_threshold_(std::max<size_t>(
-            1, static_cast<size_t>(options.flush_fill_fraction *
+            1, static_cast<size_t>(kFlushFillFraction *
                                    static_cast<double>(
                                        options.tree.leaf_capacity)))) {
     total_batches_ =
@@ -507,7 +515,7 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
     WorkCounter counter(snap->count);
     exec->Run([&](int) {
       size_t begin, end;
-      while (counter.NextBatch(options.filter_grain, &begin, &end)) {
+      while (counter.NextBatch(kFilterGrain, &begin, &end)) {
         if (Expired(options.cancel)) return;
         for (SeriesId i = begin; i < end; ++i) {
           const float lb = lbs.ToSymbolsSq(*sax_at(i));
@@ -542,7 +550,7 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
     WorkCounter counter(num_candidates);
     exec->Run([&](int) {
       size_t begin, end;
-      while (counter.NextBatch(options.refine_grain, &begin, &end)) {
+      while (counter.NextBatch(kRefineGrain, &begin, &end)) {
         if (Expired(options.cancel)) return;
         for (size_t c = begin; c < end; ++c) {
           const SeriesId id = candidates[c];
@@ -599,7 +607,7 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
     exec->Run([&](int) {
       std::vector<Value> buffer(source_->length());
       size_t begin, end;
-      while (counter.NextBatch(options.refine_grain, &begin, &end)) {
+      while (counter.NextBatch(kRefineGrain, &begin, &end)) {
         if (failed.load(std::memory_order_acquire)) return;
         if (Expired(options.cancel)) return;
         for (size_t c = begin; c < end; ++c) {

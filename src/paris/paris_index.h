@@ -76,9 +76,6 @@ struct ParisBuildOptions {
   std::string leaf_storage_path;
   /// Metered leaf-write throughput; <= 0 disables metering.
   double leaf_write_mbps = 0.0;
-  /// ParIS+ flushes a leaf once it holds at least this fraction of
-  /// leaf_capacity in memory (lower = more eager flushing).
-  double flush_fill_fraction = 0.5;
 };
 
 struct ParisBuildStats {
@@ -98,12 +95,8 @@ struct ParisBuildStats {
   TreeStats tree;
 };
 
+/// The executor passed to SearchExact sets the parallelism.
 struct ParisQueryOptions {
-  int num_workers = 4;
-  /// SAX-array block size per Fetch&Inc claim in the filtering phase.
-  size_t filter_grain = 4096;
-  /// Candidates per Fetch&Inc claim in the refinement phase.
-  size_t refine_grain = 4;
   KernelPolicy kernel = KernelPolicy::kAuto;
   /// Cancel/deadline token polled per claimed batch in the filter and
   /// refine phases; an expired search returns kDeadlineExceeded instead

@@ -41,13 +41,10 @@ QueryService::~QueryService() {
 }
 
 std::future<Result<SearchResponse>> QueryService::Submit(
-    SeriesView query, const SearchRequest& request,
-    std::optional<SchedulingPolicy> policy) {
-  SubmitOptions submit;
-  submit.policy = policy;
+    SeriesView query, const SearchRequest& request) {
   // Without the cap enforced SubmitInternal cannot fail.
-  return std::move(
-             SubmitInternal(query, request, submit, /*enforce_cap=*/false))
+  return std::move(SubmitInternal(query, request, SubmitOptions{},
+                                  /*enforce_cap=*/false))
       .value();
 }
 
@@ -63,7 +60,6 @@ Result<std::future<Result<SearchResponse>>> QueryService::SubmitInternal(
   Task task;
   task.query.assign(query.begin(), query.end());
   task.request = request;
-  task.policy = submit.policy.value_or(options_.policy);
   task.priority = submit.priority;
   if (submit.timeout.count() > 0 && request.cancel == nullptr) {
     task.cancel = std::make_shared<CancellationToken>(
@@ -127,12 +123,11 @@ Result<std::future<Result<SearchResponse>>> QueryService::SubmitInternal(
 }
 
 Result<std::vector<SearchResponse>> QueryService::SearchBatch(
-    const std::vector<SeriesView>& queries, const SearchRequest& request,
-    std::optional<SchedulingPolicy> policy) {
+    const std::vector<SeriesView>& queries, const SearchRequest& request) {
   std::vector<std::future<Result<SearchResponse>>> futures;
   futures.reserve(queries.size());
   for (const SeriesView& query : queries) {
-    futures.push_back(Submit(query, request, policy));
+    futures.push_back(Submit(query, request));
   }
   // Help drain instead of blocking: the calling thread is one more
   // serve lane while its batch is pending. It may also pick up other
@@ -247,7 +242,7 @@ void QueryService::Execute(Task task) {
   }
 
   bool parallel = false;
-  switch (task.policy) {
+  switch (options_.policy) {
     case SchedulingPolicy::kThroughput:
       parallel = false;
       break;

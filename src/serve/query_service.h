@@ -31,7 +31,6 @@
 #include <deque>
 #include <future>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -49,7 +48,7 @@ struct QueryServiceOptions {
   /// pool additionally provides intra-query parallelism for the
   /// kLatency path.
   int num_threads = 4;
-  /// Default scheduling policy; Submit can override per query.
+  /// Scheduling policy for every query the service runs.
   SchedulingPolicy policy = SchedulingPolicy::kAuto;
   /// kAuto: a query whose estimated cost (point-pair kernel
   /// evaluations) reaches this takes the intra-query parallel path when
@@ -71,10 +70,8 @@ enum class QueryPriority {
   kHigh,    ///< served before queued normal tasks
 };
 
-/// Per-submission controls for TrySubmit (and the Submit overload).
+/// Per-submission controls for TrySubmit.
 struct SubmitOptions {
-  /// Overrides the service's default scheduling policy for this query.
-  std::optional<SchedulingPolicy> policy;
   QueryPriority priority = QueryPriority::kNormal;
   /// Relative deadline: the service wraps the query in a
   /// CancellationToken expiring `timeout` after submission. A task
@@ -82,8 +79,9 @@ struct SubmitOptions {
   /// running: with the admission rule's typed rejection when the
   /// request is unsupported, otherwise with kDeadlineExceeded. One that
   /// expires mid-search is cancelled by the index engines' hot-loop
-  /// polls (see SearchRequest::cancel). Zero: no deadline. Ignored when the request already
-  /// carries a caller-owned `cancel` token (that token governs).
+  /// polls (see SearchRequest::cancel). Zero: no deadline. Ignored when
+  /// the request already carries a caller-owned `cancel` token (that
+  /// token governs).
   std::chrono::nanoseconds timeout{0};
 };
 
@@ -133,11 +131,9 @@ class QueryService {
 
   /// Enqueues one query; the returned future yields its response. The
   /// query values are copied, so the view only needs to live until
-  /// Submit returns. `policy` overrides the service default for this
-  /// query.
+  /// Submit returns.
   std::future<Result<SearchResponse>> Submit(
-      SeriesView query, const SearchRequest& request = {},
-      std::optional<SchedulingPolicy> policy = std::nullopt);
+      SeriesView query, const SearchRequest& request = {});
 
   /// As Submit with per-query priority and deadline, and subject to
   /// admission control: when `options().max_inflight` queries are
@@ -152,8 +148,7 @@ class QueryService {
   /// blocking. Fails on the first failing query.
   Result<std::vector<SearchResponse>> SearchBatch(
       const std::vector<SeriesView>& queries,
-      const SearchRequest& request = {},
-      std::optional<SchedulingPolicy> policy = std::nullopt);
+      const SearchRequest& request = {});
 
   /// Blocks until every query submitted so far has completed.
   void Drain();
@@ -165,7 +160,6 @@ class QueryService {
   struct Task {
     std::vector<Value> query;
     SearchRequest request;
-    SchedulingPolicy policy = SchedulingPolicy::kAuto;
     QueryPriority priority = QueryPriority::kNormal;
     /// Deadline token the service created for this task (request.cancel
     /// points at it); heap-allocated so moves keep the pointer valid.

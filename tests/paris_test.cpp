@@ -175,7 +175,6 @@ TEST(ParisTest, QueryMatchesBruteForceUnderManyWorkerCounts) {
   for (const int workers : {1, 2, 5}) {
     ThreadPool pool(workers);
     ParisQueryOptions qopts;
-    qopts.num_workers = workers;
     for (size_t q = 0; q < queries.count(); ++q) {
       const Neighbor oracle =
           BruteForceNn(InMemorySource(&data), queries.series(q),

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "io/format.h"
 #include "io/generator.h"
 #include "persist/snapshot.h"
+#include "support/append_latched_source.h"
 #include "support/temp_dir.h"
 
 namespace parisax {
@@ -140,6 +142,77 @@ TEST(SegmentTest, AppendsPublishSegmentsWithoutFolding) {
         GenerateQueries(DatasetKind::kRandomWalk, 5, kLength, 212);
     ExpectQueryEquivalence(scratch->get(), engine->get(), queries,
                            std::string(AlgorithmName(a)) + "/segments");
+  }
+}
+
+// Over an addressable source, MESSI and ParIS+ publish an append as a
+// segment without taking the exclusive index gate, so a query never
+// waits for an append in flight. The append parks inside AppendSeries,
+// holding the engine's append lock; exact 1-NN through Engine::Search
+// and through the query service must still answer promptly, from the
+// base rows alone. The queries are the appended rows, so once the
+// append lands each must find itself.
+TEST(SegmentTest, AppendInFlightNeverBlocksQueries) {
+  constexpr auto kQueryWait = std::chrono::seconds(10);
+  const Dataset full = MakeData(600, 271);
+  const size_t base_rows = 400;
+  const Dataset tail = Slice(full, base_rows, full.count() - base_rows);
+  const SeriesId first_query = 460;
+  const Dataset queries = Slice(full, first_query, 6);
+  for (const Algorithm a : {Algorithm::kMessi, Algorithm::kParisPlus}) {
+    const std::string label = AlgorithmName(a);
+    auto latched = std::make_unique<testsupport::AppendLatchedSource>(
+        Slice(full, 0, base_rows));
+    testsupport::AppendLatchedSource* latch = latched.get();
+    auto engine = Engine::Build(SourceSpec::Custom(std::move(latched)),
+                                BaseOptions(a));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    auto base = Engine::Build(SourceSpec::InMemory(Slice(full, 0, base_rows)),
+                              BaseOptions(a));
+    auto grown = Engine::Build(
+        SourceSpec::InMemory(Slice(full, 0, full.count())),
+        BaseOptions(a));
+    ASSERT_TRUE(base.ok() && grown.ok()) << label;
+
+    auto appended = std::async(std::launch::async,
+                               [&] { return (*engine)->Append(tail); });
+    latch->WaitParked();
+    // On timeout the latch opens before the test fails, so a build
+    // whose append blocks queries fails here instead of hanging.
+    const auto answered = [&](auto& future) {
+      if (future.wait_for(kQueryWait) == std::future_status::ready) {
+        return true;
+      }
+      latch->Release();
+      return false;
+    };
+    for (SeriesId q = 0; q < queries.count(); ++q) {
+      const SeriesView view = queries.series(q);
+      auto direct = std::async(std::launch::async,
+                               [&] { return (*engine)->Search(view); });
+      auto served = (*engine)->Submit(view);
+      ASSERT_TRUE(answered(direct) && answered(served))
+          << label << " query " << q << " waited for the append";
+      const auto want = (*base)->Search(view);
+      const auto got_direct = direct.get();
+      const auto got_served = served.get();
+      ASSERT_TRUE(want.ok() && got_direct.ok() && got_served.ok()) << label;
+      ExpectSameResponse(*want, *got_direct, label + "/direct");
+      ExpectSameResponse(*want, *got_served, label + "/served");
+    }
+
+    latch->Release();
+    const auto report = appended.get();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ((*engine)->series_count(), full.count()) << label;
+    for (SeriesId q = 0; q < queries.count(); ++q) {
+      const SeriesView view = queries.series(q);
+      const auto want = (*grown)->Search(view);
+      const auto got = (*engine)->Search(view);
+      ASSERT_TRUE(want.ok() && got.ok()) << label;
+      ExpectSameResponse(*want, *got, label + "/grown");
+      EXPECT_EQ(got->neighbors[0].id, first_query + q) << label;
+    }
   }
 }
 
