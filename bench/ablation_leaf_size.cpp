@@ -37,7 +37,7 @@ int Run(const BenchArgs& args) {
   for (const size_t capacity : {32u, 64u, 128u, 256u, 512u, 1024u}) {
     MessiBuildOptions build;
     build.num_workers = workers;
-    // scale-consistent mapping of the paper's w=16 (see EXPERIMENTS.md)
+    // stands in for the paper's w = 16 at this scale (README.md, Benchmarks)
     build.tree.segments = 8;
     build.tree.leaf_capacity = capacity;
     build.tree.series_length = length;

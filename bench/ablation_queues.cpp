@@ -37,7 +37,7 @@ int Run(const BenchArgs& args) {
   ThreadPool pool(workers);
   MessiBuildOptions build;
   build.num_workers = workers;
-  // scale-consistent mapping of the paper's w=16 (see EXPERIMENTS.md)
+  // stands in for the paper's w = 16 at this scale (README.md, Benchmarks)
   build.tree.segments = 8;
   build.tree.leaf_capacity = 128;
   build.tree.series_length = length;

@@ -1,11 +1,12 @@
 // Shared infrastructure for the figure-reproduction benchmarks.
 //
-// Every bench binary reproduces one figure of the paper's evaluation
-// (see DESIGN.md §4): it builds the figure's workload, runs the same
-// engines the paper ran, prints a table of measured numbers, and then a
-// "paper shape" block stating the qualitative claim the figure makes and
-// how the measurement compares. Sizes are scaled down from the paper's
-// 100GB datasets (see DESIGN.md §1) and can be overridden:
+// Every bench binary reproduces one figure of the paper's evaluation:
+// it builds the figure's workload, runs the same engines the paper ran,
+// prints a table of measured numbers, and then a "paper shape" block
+// stating the qualitative claim the figure makes and how the
+// measurement compares. Sizes are scaled down from the paper's 100GB
+// datasets (README.md, Benchmarks, lists the mapping) and can be
+// overridden:
 //   --series N      collection size          --queries N   query count
 //   --length N      points per series        --seed N      generator seed
 //   --threads a,b,c worker-count sweep       --quick       tiny smoke run
@@ -77,7 +78,7 @@ void PrintFigureHeader(const std::string& figure_id,
                        const std::string& description);
 
 /// Prints one "paper_shape" line: the paper's qualitative claim and the
-/// measured counterpart, so EXPERIMENTS.md can quote both.
+/// measured counterpart, so a reader can set one beside the other.
 void PrintPaperShape(const std::string& claim, const std::string& measured);
 
 /// Prints the standard caveat for thread sweeps on this host.

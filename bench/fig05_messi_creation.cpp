@@ -40,7 +40,7 @@ int Run(const BenchArgs& args) {
     MessiBuildOptions build;
     build.num_workers = t;
     build.chunk_series = 4096;
-    // scale-consistent mapping of the paper's w=16 (see EXPERIMENTS.md)
+    // stands in for the paper's w = 16 at this scale (README.md, Benchmarks)
     build.tree.segments = 8;
     build.tree.leaf_capacity = 128;
     build.tree.series_length = length;

@@ -38,7 +38,7 @@ int Run(const BenchArgs& args) {
     const Dataset data = MakeDataset(kind, series, length, args.seed);
 
     SaxTreeOptions tree;
-    // scale-consistent mapping of the paper's w=16 (see EXPERIMENTS.md)
+    // stands in for the paper's w = 16 at this scale (README.md, Benchmarks)
     tree.segments = 8;
     tree.leaf_capacity = 128;
     tree.series_length = length;

@@ -1,7 +1,7 @@
 // Ablation D4 and kernel microbenchmarks (google-benchmark): the SIMD vs
 // scalar distance kernels the paper credits for part of its speedup,
-// plus the other per-series primitives (PAA, SAX conversion, mindist,
-// early abandoning, DTW, LB_Keogh).
+// plus the other per-series primitives (PAA, SAX conversion, mindist and
+// its per-query table, early abandoning, DTW, LB_Keogh).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -122,6 +122,44 @@ void BM_MinDistPaaToSymbols(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinDistPaaToSymbols);
+
+// The per-query lookup table over the whole 1024-row fixture per
+// iteration: one dependent chain per summary, then four chains per step.
+// The per_summary counter is the time of one lower bound.
+void BM_MinDistTableSymbols(benchmark::State& state) {
+  KernelFixture& f = Fixture();
+  const MinDistTable table(f.query_paa, f.query_paa, kSegments, kLength);
+  std::vector<float> bounds(f.sax_rows.size());
+  for (auto _ : state) {
+    for (size_t i = 0; i < f.sax_rows.size(); ++i) {
+      bounds[i] = table.ToSymbolsSq(f.sax_rows[i]);
+    }
+    benchmark::DoNotOptimize(bounds.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_summary"] = benchmark::Counter(
+      static_cast<double>(f.sax_rows.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MinDistTableSymbols);
+
+void BM_MinDistTableSymbolsBatch(benchmark::State& state) {
+  KernelFixture& f = Fixture();
+  const MinDistTable table(f.query_paa, f.query_paa, kSegments, kLength);
+  std::vector<float> bounds(f.sax_rows.size());
+  for (auto _ : state) {
+    table.ToSymbolsSq(f.sax_rows.data(), sizeof(SaxSymbols),
+                      f.sax_rows.size(), bounds.data());
+    benchmark::DoNotOptimize(bounds.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_summary"] = benchmark::Counter(
+      static_cast<double>(f.sax_rows.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MinDistTableSymbolsBatch);
 
 void BM_ZNormalize(benchmark::State& state) {
   std::vector<float> buffer(kLength);

@@ -14,6 +14,9 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
+/// Flat-SAX rows bounded per batched MinDistTable call in the filter.
+constexpr size_t kFilterBlock = 1024;
+
 }  // namespace
 
 Result<std::unique_ptr<AdsIndex>> AdsIndex::Build(
@@ -175,13 +178,18 @@ Result<Neighbor> AdsIndex::SearchExact(SeriesView query,
       best, ApproximateInternal(query, paa, sax, options.kernel, stats));
   if (stats != nullptr) stats->approx_phase_seconds = approx.ElapsedSeconds();
 
-  // Phase 2: serial mindist filtering over the flat SAX array.
+  // Phase 2: serial mindist filtering over the flat SAX array, four
+  // summaries per step.
   WallTimer filter;
   const MinDistTable lbs(paa, paa, w, n);
   std::vector<SeriesId> candidates;
-  for (SeriesId i = 0; i < cache_.count(); ++i) {
-    const float lb = lbs.ToSymbolsSq(cache_.At(i));
-    if (lb < best.distance_sq) candidates.push_back(i);
+  float bounds[kFilterBlock];
+  for (SeriesId begin = 0; begin < cache_.count(); begin += kFilterBlock) {
+    const size_t count = std::min(kFilterBlock, cache_.count() - begin);
+    lbs.ToSymbolsSq(&cache_.At(begin), sizeof(SaxSymbols), count, bounds);
+    for (size_t i = 0; i < count; ++i) {
+      if (bounds[i] < best.distance_sq) candidates.push_back(begin + i);
+    }
   }
   if (stats != nullptr) {
     stats->lb_checks += cache_.count();

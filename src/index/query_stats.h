@@ -1,7 +1,8 @@
 // Counters describing the work one exact-search query performed. These
-// drive the pruning-power analyses in EXPERIMENTS.md and let tests assert
-// behavioural properties (e.g. "MESSI performs fewer real distance
-// calculations than ParIS", Section IV of the paper).
+// feed the pruning counts the figure drivers and bench/suite's traced
+// runs report, and let tests assert behavioural properties (e.g. "MESSI
+// performs fewer real distance calculations than ParIS", Section IV of
+// the paper).
 #ifndef PARISAX_INDEX_QUERY_STATS_H_
 #define PARISAX_INDEX_QUERY_STATS_H_
 

@@ -58,15 +58,21 @@ Node* SaxTree::ApproximateLeaf(const SaxSymbols& query_sax,
   Node* node = roots_[key].get();
   if (node == nullptr) {
     // The exact root subtree does not exist: fall back to the present
-    // root whose region is closest to the query (ADS+ convention).
+    // root whose region is closest to the query (ADS+ convention), the
+    // first in key order on a tie. Bounds come from the keys alone, a
+    // block at a time, so the scan dereferences no Node.
+    constexpr size_t kBlock = 256;
+    float bounds[kBlock];
     float best = std::numeric_limits<float>::infinity();
-    for (const uint32_t k : present_roots_) {
-      const float d =
-          MinDistPaaToWordSq(query_paa, roots_[k]->word(),
-                             options_.segments, options_.series_length);
-      if (d < best) {
-        best = d;
-        node = roots_[k].get();
+    for (size_t begin = 0; begin < present_roots_.size(); begin += kBlock) {
+      const size_t count = std::min(kBlock, present_roots_.size() - begin);
+      MinDistPaaToRootKeysSq(query_paa, &present_roots_[begin], count,
+                             options_.segments, options_.series_length, bounds);
+      for (size_t i = 0; i < count; ++i) {
+        if (bounds[i] < best) {
+          best = bounds[i];
+          node = roots_[present_roots_[begin + i]].get();
+        }
       }
     }
     if (node == nullptr) return nullptr;  // empty tree

@@ -10,7 +10,8 @@
 // the paper's results: random walks have near-independent PAA segments
 // (best pruning), EEG-like band-limited oscillations make series resemble
 // one another (worse pruning), and burst-dominated seismic-like records
-// concentrate energy in a few segments (worst pruning). See DESIGN.md §1.
+// concentrate energy in a few segments (worst pruning). README.md,
+// Benchmarks, lists the scaled-down sizes the figure drivers use.
 //
 // Generation is deterministic per (seed, series index) and therefore
 // identical whether produced serially or in parallel, and independent of

@@ -1,5 +1,6 @@
 #include "messi/messi_index.h"
 
+#include <algorithm>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -46,6 +47,11 @@ constexpr size_t kRootBatch = 32;
 /// a bounded number of visits.
 constexpr uint32_t kNodesPerCancelPoll = 64;
 
+/// Leaf entries whose lower bounds Stage 3b computes per batched call:
+/// one default-capacity leaf. Oversized (unsplittable) leaves take
+/// several calls.
+constexpr size_t kEntryBlock = 128;
+
 /// Root subtrees of one serving snapshot: the base's present roots
 /// followed by every segment's. Stage 3 treats them as one flat forest
 /// pruned against one shared bound — the read-side merge.
@@ -66,9 +72,10 @@ std::vector<Node*> CollectRoots(const ServingState& snap) {
 /// ED-kNN and DTW-NN searches, over the merged root forest of one
 /// serving snapshot. `Policy` supplies the pruning bound, the
 /// node/entry lower bounds and the entry refinement:
+///   const MinDistTable* lbs;  // entry bounds, batched per popped leaf
 ///   float Bound() const;
 ///   float NodeLb(const Node&) const;
-///   void ProcessEntry(const LeafEntry&, QueryStats*, int worker);
+///   void ProcessEntry(const LeafEntry&, float lb, QueryStats*, int worker);
 /// Everything mutable lives in the policy or on this stack frame, so any
 /// number of queued searches can run concurrently on different
 /// executors. Workers share nothing per node, leaf or entry but the
@@ -138,6 +145,7 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
   exec->Run([&](int worker) {
     QueryStats local;
     [&] {
+      float entry_lbs[kEntryBlock];
       const int start = worker % k_queues;
       for (;;) {
         bool all_done = true;
@@ -163,8 +171,17 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
             if (Expired(cancel)) return;
             all_done = false;
             local.leaves_inspected++;
-            for (const LeafEntry& e : item.leaf->entries()) {
-              policy->ProcessEntry(e, &local, worker);
+            const std::vector<LeafEntry>& entries = item.leaf->entries();
+            for (size_t begin = 0; begin < entries.size();
+                 begin += kEntryBlock) {
+              const size_t count =
+                  std::min(kEntryBlock, entries.size() - begin);
+              policy->lbs->ToSymbolsSq(&entries[begin].sax,
+                                       sizeof(LeafEntry), count, entry_lbs);
+              for (size_t i = 0; i < count; ++i) {
+                policy->ProcessEntry(entries[begin + i], entry_lbs[i],
+                                     &local, worker);
+              }
             }
           }
         }
@@ -220,10 +237,11 @@ struct EdNnPolicy {
 
   float NodeLb(const Node& node) const { return lbs->ToWordSq(node.word()); }
 
-  void ProcessEntry(const LeafEntry& e, QueryStats* counts, int /*worker*/) {
+  void ProcessEntry(const LeafEntry& e, float lb, QueryStats* counts,
+                    int /*worker*/) {
     counts->lb_checks++;
     const float bound = Bound();
-    if (lbs->ToSymbolsSq(e.sax) >= bound) return;
+    if (lb >= bound) return;
     counts->real_dist_calcs++;
     const float d = SquaredEuclideanEarlyAbandon(query, raw.series(e.id),
                                                  bound, kernel);
@@ -243,10 +261,11 @@ struct EdKnnPolicy {
 
   float NodeLb(const Node& node) const { return lbs->ToWordSq(node.word()); }
 
-  void ProcessEntry(const LeafEntry& e, QueryStats* counts, int /*worker*/) {
+  void ProcessEntry(const LeafEntry& e, float lb, QueryStats* counts,
+                    int /*worker*/) {
     counts->lb_checks++;
     const float bound = Bound();
-    if (lbs->ToSymbolsSq(e.sax) >= bound) return;
+    if (lb >= bound) return;
     counts->real_dist_calcs++;
     const float d = SquaredEuclideanEarlyAbandon(query, raw.series(e.id),
                                                  bound, kernel);
@@ -273,10 +292,11 @@ struct DtwNnPolicy {
 
   float NodeLb(const Node& node) const { return lbs->ToWordSq(node.word()); }
 
-  void ProcessEntry(const LeafEntry& e, QueryStats* counts, int worker) {
+  void ProcessEntry(const LeafEntry& e, float lb, QueryStats* counts,
+                    int worker) {
     counts->lb_checks++;
     float bound = Bound();
-    if (lbs->ToSymbolsSq(e.sax) >= bound) return;
+    if (lb >= bound) return;
     const SeriesView candidate = raw.series(e.id);
     if (LbKeoghSq(*env_lower, *env_upper, candidate, bound) >= bound) return;
     counts->real_dist_calcs++;

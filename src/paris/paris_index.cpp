@@ -492,20 +492,26 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
     stats->approx_phase_seconds = approx_timer.ElapsedSeconds();
   }
 
-  // SAX summary of series `id` within the snapshot: the base's flat
-  // array, or the owning segment's rows.
-  const auto sax_at = [&snap](SeriesId id) -> const SaxSymbols* {
-    if (id < snap->base_count) return &snap->cache->At(id);
-    for (const auto& seg : snap->segments) {
-      if (id - seg->first < seg->count) {
-        return &seg->sax_rows[id - seg->first];
-      }
-    }
-    return nullptr;  // unreachable for id < snap->count
+  // The snapshot's SAX summaries as contiguous runs in id order: the
+  // base's flat array, then each segment's rows.
+  struct SaxRun {
+    SeriesId first;
+    size_t count;
+    const SaxSymbols* rows;
   };
+  std::vector<SaxRun> runs;
+  if (snap->base_count > 0) {
+    runs.push_back({0, snap->base_count, &snap->cache->At(0)});
+  }
+  for (const auto& seg : snap->segments) {
+    if (seg->count > 0) {
+      runs.push_back({seg->first, seg->count, seg->sax_rows.data()});
+    }
+  }
 
   // Phase 2: lower-bound workers filter the SAX summaries in parallel
-  // against the frozen seed bound.
+  // against the frozen seed bound. A claimed block is bounded run by
+  // run, four summaries per step, into a block of bounds on the stack.
   WallTimer filter_timer;
   const float bsf0 = best.distance_sq;
   const MinDistTable lbs(paa, paa, w, n);
@@ -514,13 +520,20 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
   {
     WorkCounter counter(snap->count);
     exec->Run([&](int) {
+      float bounds[kFilterGrain];
       size_t begin, end;
       while (counter.NextBatch(kFilterGrain, &begin, &end)) {
         if (Expired(options.cancel)) return;
-        for (SeriesId i = begin; i < end; ++i) {
-          const float lb = lbs.ToSymbolsSq(*sax_at(i));
-          if (lb < bsf0) {
-            candidates[tail.fetch_add(1, std::memory_order_relaxed)] = i;
+        for (const SaxRun& run : runs) {
+          const SeriesId lo = std::max<SeriesId>(begin, run.first);
+          const SeriesId hi = std::min<SeriesId>(end, run.first + run.count);
+          if (lo >= hi) continue;
+          lbs.ToSymbolsSq(run.rows + (lo - run.first), sizeof(SaxSymbols),
+                          hi - lo, bounds);
+          for (SeriesId i = lo; i < hi; ++i) {
+            if (bounds[i - lo] < bsf0) {
+              candidates[tail.fetch_add(1, std::memory_order_relaxed)] = i;
+            }
           }
         }
       }

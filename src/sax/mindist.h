@@ -9,6 +9,7 @@
 #define PARISAX_SAX_MINDIST_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sax/word.h"
@@ -38,6 +39,14 @@ float MinDistEnvelopePaaToSymbolsSq(const float* env_lower_paa,
                                     const float* env_upper_paa,
                                     const SaxSymbols& sax, int w, size_t n);
 
+/// out[i] = MinDistPaaToWordSq(query_paa, RootWord(keys[i], w), w, n),
+/// bit-identical, for `count` root keys: the w x 2 level-1 gaps are
+/// computed once and each key sums its w gaps in segment order, four
+/// keys at a time. The approximate probe's root fallback scans every
+/// present root of a tree with it.
+void MinDistPaaToRootKeysSq(const float* query_paa, const uint32_t* keys,
+                            size_t count, int w, size_t n, float* out);
+
 /// The four functions above, answered by table lookup: built once per
 /// query, it holds the squared gap between the query's interval on each
 /// segment and every iSAX region at every cardinality (w x 510 floats,
@@ -46,6 +55,11 @@ float MinDistEnvelopePaaToSymbolsSq(const float* env_lower_paa,
 /// so every bound it returns is bit-identical to theirs. Exact searches
 /// build one per query and evaluate every node and entry bound through
 /// it; one-shot callers keep the free functions.
+///
+/// A single lookup is one chain of w dependent float adds. The batched
+/// ToSymbolsSq runs four summaries' chains side by side, so the scans
+/// over runs of summaries (flat SAX rows, a leaf's entries) are bound by
+/// throughput rather than by add latency.
 class MinDistTable {
  public:
   /// Tables over the query interval [lo[s], hi[s]] on segment s. For ED
@@ -73,6 +87,13 @@ class MinDistTable {
     }
     return sum * scale_;
   }
+
+  /// Batched ToSymbolsSq: out[i] is bit-identical to ToSymbolsSq of the
+  /// summary at `first` advanced by i * `stride` bytes, for i < `count`.
+  /// The stride lets one call read SaxSymbols rows (sizeof(SaxSymbols))
+  /// or the summaries inside LeafEntry records (sizeof(LeafEntry)).
+  void ToSymbolsSq(const SaxSymbols* first, size_t stride, size_t count,
+                   float* out) const;
 
  private:
   /// Regions at cardinalities 2^1..2^8: 2 + 4 + ... + 256.

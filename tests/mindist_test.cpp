@@ -14,6 +14,7 @@
 
 #include "dist/dtw.h"
 #include "dist/euclidean.h"
+#include "index/node.h"
 #include "io/generator.h"
 #include "sax/paa.h"
 #include "util/rng.h"
@@ -275,6 +276,122 @@ TEST(MinDistTableTest, EveryRegionOfEveryCardinalityMatches) {
               ASSERT_TRUE(SameBits(table.ToSymbolsSq(sax), want_symbols))
                   << "w=" << w << " sym=" << sym;
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Fills `count` summaries at `first`, `stride` bytes apart, with random
+/// symbols on the first w segments.
+void FillSummaries(SaxSymbols* first, size_t stride, size_t count, int w,
+                   Rng* rng) {
+  auto* bytes = reinterpret_cast<unsigned char*>(first);
+  for (size_t i = 0; i < count; ++i) {
+    SaxSymbols* sax = reinterpret_cast<SaxSymbols*>(bytes + i * stride);
+    for (int s = 0; s < w; ++s) {
+      sax->symbols[s] = static_cast<uint8_t>(rng->NextBelow(256));
+    }
+  }
+}
+
+/// Checks the batched lookup over `count` summaries `stride` bytes apart
+/// against one ToSymbolsSq per summary, by bit pattern, and that it
+/// writes nothing past out[count - 1].
+void ExpectBatchMatchesSingle(const MinDistTable& table,
+                              const SaxSymbols* first, size_t stride,
+                              size_t count, const std::string& where) {
+  constexpr float kSentinel = -1.0f;
+  std::vector<float> out(count + 4, kSentinel);
+  table.ToSymbolsSq(first, stride, count, out.data());
+  const auto* bytes = reinterpret_cast<const unsigned char*>(first);
+  for (size_t i = 0; i < count; ++i) {
+    const float want = table.ToSymbolsSq(
+        *reinterpret_cast<const SaxSymbols*>(bytes + i * stride));
+    ASSERT_TRUE(SameBits(out[i], want))
+        << where << " i=" << i << " got " << out[i] << " want " << want;
+  }
+  for (size_t i = count; i < out.size(); ++i) {
+    ASSERT_TRUE(SameBits(out[i], kSentinel)) << where << " i=" << i;
+  }
+}
+
+TEST(MinDistTableTest, BatchedSymbolsBitIdenticalAtEveryCountAndStride) {
+  // Every count up to 13 covers zero to three four-wide steps with each
+  // remainder; 1000 covers a long run. Rows are read both as SaxSymbols
+  // arrays (the flat SAX array, segment rows) and as the summaries
+  // inside LeafEntry records (MESSI's leaves).
+  static_assert(sizeof(SaxSymbols) == 16 && sizeof(LeafEntry) == 24,
+                "the strides this test names");
+  const std::vector<float> values = ProbeValues();
+  Rng rng(211);
+  std::vector<size_t> counts;
+  for (size_t count = 0; count <= 13; ++count) counts.push_back(count);
+  counts.push_back(1000);
+  for (const int w : {16, 8, 5}) {
+    for (const bool ed : {true, false}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        float lo[kMaxSegments], hi[kMaxSegments];
+        DrawInterval(values, w, ed, &rng, lo, hi);
+        const MinDistTable table(lo, hi, w, 256);
+        for (const size_t count : counts) {
+          const std::string where = "w=" + std::to_string(w) +
+                                    " ed=" + std::to_string(ed) +
+                                    " count=" + std::to_string(count);
+          std::vector<SaxSymbols> rows(count);
+          FillSummaries(rows.data(), sizeof(SaxSymbols), count, w, &rng);
+          ExpectBatchMatchesSingle(table, rows.data(), sizeof(SaxSymbols),
+                                   count, where + " stride=16");
+          std::vector<LeafEntry> entries(count);
+          for (size_t i = 0; i < count; ++i) entries[i].id = i;
+          SaxSymbols* entry_sax = count > 0 ? &entries[0].sax : nullptr;
+          FillSummaries(entry_sax, sizeof(LeafEntry), count, w, &rng);
+          ExpectBatchMatchesSingle(table, entry_sax, sizeof(LeafEntry),
+                                   count, where + " stride=24");
+          for (size_t i = 0; i < count; ++i) ASSERT_EQ(entries[i].id, i);
+          // The single lookup is itself pinned to the reference
+          // function; check the first row of each batch against it too.
+          if (count > 0) {
+            const float want =
+                ed ? MinDistPaaToSymbolsSq(lo, rows[0], w, 256)
+                   : MinDistEnvelopePaaToSymbolsSq(lo, hi, rows[0], w, 256);
+            float got;
+            table.ToSymbolsSq(rows.data(), sizeof(SaxSymbols), 1, &got);
+            ASSERT_TRUE(SameBits(got, want)) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MinDistRootKeysTest, EqualsReferenceOnEveryRootWord) {
+  // Every key of every width, in one call (a multiple of four keys) and
+  // in a call that starts one key later (a remainder of three).
+  const std::vector<float> values = ProbeValues();
+  Rng rng(223);
+  for (const int w : {16, 8, 5}) {
+    std::vector<uint32_t> keys(size_t{1} << w);
+    for (uint32_t key = 0; key < keys.size(); ++key) keys[key] = key;
+    for (const size_t n : {size_t{256}, size_t{61}}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        float paa[kMaxSegments], unused[kMaxSegments];
+        DrawInterval(values, w, /*degenerate=*/true, &rng, paa, unused);
+        std::vector<float> all(keys.size());
+        MinDistPaaToRootKeysSq(paa, keys.data(), keys.size(), w, n,
+                               all.data());
+        std::vector<float> shifted(keys.size() - 1);
+        MinDistPaaToRootKeysSq(paa, keys.data() + 1, keys.size() - 1, w, n,
+                               shifted.data());
+        for (const uint32_t key : keys) {
+          const float want = MinDistPaaToWordSq(paa, RootWord(key, w), w, n);
+          ASSERT_TRUE(SameBits(all[key], want))
+              << "w=" << w << " n=" << n << " key=" << key << " got "
+              << all[key] << " want " << want;
+          if (key > 0) {
+            ASSERT_TRUE(SameBits(shifted[key - 1], want))
+                << "w=" << w << " n=" << n << " key=" << key;
           }
         }
       }

@@ -7,11 +7,15 @@
 
 #include <algorithm>
 #include <thread>
+#include <vector>
 
+#include "core/engine.h"
 #include "index/ads_index.h"
 #include "io/format.h"
 #include "io/generator.h"
 #include "paris/recbuf.h"
+#include "sax/mindist.h"
+#include "sax/paa.h"
 #include "scan/ucr_scan.h"
 
 namespace parisax {
@@ -208,6 +212,90 @@ TEST(ParisTest, QueryStatsShowPruning) {
     // Random-walk data prunes the vast majority of candidates.
     EXPECT_LT(stats.candidates, data.count() / 2)
         << "pruning should remove most series";
+  }
+}
+
+TEST(ParisTest, FilterAcrossBaseAndSegmentsMatchesReferenceBounds) {
+  // A ParIS+ engine serving a base and three appended segments (no
+  // background compaction, so each stays its own run of SAX rows). No
+  // size is a multiple of 4 or of the 4096-id claim block, so claimed
+  // blocks straddle the base/segment and segment/segment boundaries and
+  // every run ends mid-step.
+  constexpr size_t kLen = 64;
+  const size_t base = 9001;
+  const std::vector<size_t> appends = {1003, 4101, 2222};
+  size_t total = base;
+  for (const size_t a : appends) total += a;
+  ASSERT_NE(total % 4, 0u);
+  ASSERT_NE(total % 4096, 0u);
+  const Dataset data = MakeData(total, kLen, 17);
+  const auto rows = [&](size_t first, size_t count) {
+    Dataset out(count, kLen);
+    for (size_t i = 0; i < count; ++i) {
+      const SeriesView src = data.series(first + i);
+      std::copy(src.begin(), src.end(), out.mutable_series(i).begin());
+    }
+    return out;
+  };
+
+  EngineOptions options;
+  options.algorithm = Algorithm::kParisPlus;
+  options.num_threads = 4;
+  options.tree.segments = 8;
+  options.tree.leaf_capacity = 32;
+  options.background_compaction = false;
+  auto built = Engine::Build(SourceSpec::InMemory(rows(0, base)), options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine& engine = **built;
+  size_t first = base;
+  for (const size_t count : appends) {
+    ASSERT_TRUE(engine.Append(rows(first, count)).ok());
+    first += count;
+  }
+  ASSERT_EQ(engine.series_count(), total);
+  ASSERT_EQ(engine.segmented_index()->serving()->segments.size(),
+            appends.size());
+
+  // Reference summaries, straight from the raw rows.
+  const int w = options.tree.segments;
+  std::vector<SaxSymbols> sax(total);
+  float paa[kMaxSegments];
+  for (SeriesId i = 0; i < total; ++i) {
+    ComputePaa(data.series(i), w, paa);
+    SymbolsFromPaa(paa, w, &sax[i]);
+  }
+
+  const Dataset queries =
+      GenerateQueries(DatasetKind::kRandomWalk, 50, kLen, 29);
+  const InMemorySource source(&data);
+  InlineExecutor inline_exec;
+  ThreadPool pool(4);
+  Executor* const executors[] = {&inline_exec, &pool};
+  for (size_t q = 0; q < queries.count(); ++q) {
+    const SeriesView query = queries.series(q);
+    // The exact search's seed bound is the approximate answer.
+    auto seed = engine.segmented_index()->SearchApproximate(query);
+    ASSERT_TRUE(seed.ok());
+    ComputePaa(query, w, paa);
+    size_t want_candidates = 0;
+    for (SeriesId i = 0; i < total; ++i) {
+      if (MinDistPaaToSymbolsSq(paa, sax[i], w, kLen) < seed->distance_sq) {
+        ++want_candidates;
+      }
+    }
+    const Neighbor oracle = BruteForceNn(source, query, KernelPolicy::kScalar);
+    for (Executor* exec : executors) {
+      auto got = engine.Search(query, {}, exec);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->neighbors.size(), 1u);
+      EXPECT_EQ(got->stats.lb_checks, total);
+      EXPECT_EQ(got->stats.candidates, want_candidates)
+          << "q=" << q << " threads=" << exec->num_threads();
+      EXPECT_EQ(got->neighbors[0].id, oracle.id) << "q=" << q;
+      EXPECT_NEAR(got->neighbors[0].distance_sq, oracle.distance_sq,
+                  1e-3f * std::max(1.0f, oracle.distance_sq))
+          << "q=" << q;
+    }
   }
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "io/generator.h"
@@ -20,6 +23,10 @@ LeafEntry MakeEntry(const SaxSymbols& sax, SeriesId id) {
   e.sax = sax;
   e.id = id;
   return e;
+}
+
+bool SameBitsForTest(float a, float b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 SaxTreeOptions SmallOptions(int segments = 4, size_t leaf_capacity = 4) {
@@ -250,6 +257,102 @@ TEST(TreeTest, ApproximateLeafFallsBackToNearestRoot) {
   Node* leaf = tree.ApproximateLeaf(low, paa);
   ASSERT_NE(leaf, nullptr);
   EXPECT_EQ(leaf->LeafSize(), 1u);
+}
+
+/// The leaf the reference fallback reaches for a query whose root
+/// subtree is absent: the first present root, in PresentRoots() order,
+/// with the strictly smallest MinDistPaaToWordSq, descended by the
+/// query's symbols.
+Node* ReferenceFallbackLeaf(const SaxTree& tree, const SaxSymbols& query_sax,
+                            const float* query_paa) {
+  const SaxTreeOptions& o = tree.options();
+  Node* node = nullptr;
+  float best = std::numeric_limits<float>::infinity();
+  for (const uint32_t key : tree.PresentRoots()) {
+    const float d = MinDistPaaToWordSq(query_paa, tree.RootAt(key)->word(),
+                                       o.segments, o.series_length);
+    if (d < best) {
+      best = d;
+      node = tree.RootAt(key);
+    }
+  }
+  if (node == nullptr) return nullptr;
+  while (!node->IsLeaf()) node = node->Route(query_sax);
+  return node;
+}
+
+TEST(TreeTest, RootFallbackPicksTheFirstClosestPresentRoot) {
+  const BreakpointTable& table = BreakpointTable::Get();
+  for (const int w : {16, 8, 5}) {
+    SaxTreeOptions options = SmallOptions(w, 4);
+    options.series_length = 256;
+
+    // A constructed tie: segment 0's value sits on the level-1
+    // breakpoint, so both of its regions are 0 away; every other
+    // segment lies above it. Roots `first` (segment bits 0, 0, 1, ...)
+    // and `second` (1, 0, 1, ...) are then equally close, the query's
+    // own root (?, 1, 1, ...) is absent, and a scan that kept the last
+    // minimum would pick `second`.
+    {
+      SaxTree tree(options);
+      float paa[kMaxSegments];
+      paa[0] = table.RegionHigh(1, 0);
+      for (int s = 1; s < w; ++s) paa[s] = 0.75f;
+      SaxSymbols first, second, far;
+      for (int s = 0; s < kMaxSegments; ++s) {
+        first.symbols[s] = second.symbols[s] = s == 1 ? 0x10 : 0xF0;
+      }
+      first.symbols[0] = 0x40;
+      second.symbols[0] = 0xC0;
+      ASSERT_TRUE(tree.Insert(MakeEntry(far, 0)).ok());
+      ASSERT_TRUE(tree.Insert(MakeEntry(second, 1)).ok());
+      ASSERT_TRUE(tree.Insert(MakeEntry(first, 2)).ok());
+      tree.SealRoots();
+      SaxSymbols query_sax;
+      SymbolsFromPaa(paa, w, &query_sax);
+      ASSERT_EQ(tree.RootAt(RootKey(query_sax, w)), nullptr) << "w=" << w;
+      const uint32_t first_key = RootKey(first, w);
+      const uint32_t second_key = RootKey(second, w);
+      ASSERT_LT(first_key, second_key);
+      ASSERT_TRUE(SameBitsForTest(
+          MinDistPaaToWordSq(paa, RootWord(first_key, w), w, 256),
+          MinDistPaaToWordSq(paa, RootWord(second_key, w), w, 256)))
+          << "the constructed roots must tie, w=" << w;
+      Node* leaf = tree.ApproximateLeaf(query_sax, paa);
+      EXPECT_EQ(leaf, tree.RootAt(first_key)) << "w=" << w;
+      EXPECT_EQ(leaf, ReferenceFallbackLeaf(tree, query_sax, paa));
+    }
+
+    // Random sparse trees: at most a quarter of the roots present, so
+    // most queries fall back.
+    SaxTree tree(options);
+    Rng rng(500 + w);
+    const size_t entries = std::max<size_t>(4, (size_t{1} << w) / 8);
+    for (size_t i = 0; i < entries; ++i) {
+      SaxSymbols sax;
+      for (int s = 0; s < w; ++s) {
+        sax.symbols[s] = static_cast<uint8_t>(rng.NextBelow(256));
+      }
+      ASSERT_TRUE(tree.Insert(MakeEntry(sax, i)).ok());
+    }
+    tree.SealRoots();
+    size_t fallbacks = 0;
+    for (int q = 0; q < 200; ++q) {
+      float paa[kMaxSegments];
+      for (int s = 0; s < w; ++s) {
+        paa[s] = static_cast<float>(rng.NextBelow(6001)) / 1000.0f - 3.0f;
+      }
+      SaxSymbols query_sax;
+      SymbolsFromPaa(paa, w, &query_sax);
+      if (tree.RootAt(RootKey(query_sax, w)) != nullptr) continue;
+      ++fallbacks;
+      Node* want = ReferenceFallbackLeaf(tree, query_sax, paa);
+      ASSERT_NE(want, nullptr);
+      EXPECT_EQ(tree.ApproximateLeaf(query_sax, paa), want)
+          << "w=" << w << " q=" << q;
+    }
+    EXPECT_GT(fallbacks, 100u) << "w=" << w;
+  }
 }
 
 TEST(TreeTest, EmptyTreeBehaviour) {

@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Compare micro_kernels runs against the committed baseline.
+"""Compare micro_kernels runs of a change against runs of its parent.
 
 Python-stdlib only (CI runners need nothing installed). The runs and the
-baseline are google-benchmark JSON: benchmarks[] keyed by "name", metric
+baselines are google-benchmark JSON: benchmarks[] keyed by "name", metric
 "real_time" (normalized to ns), lower is better.
 
 Usage:
-  compare_bench.py --baseline bench/baselines/micro_kernels.json \
-      --tolerance 0.15 run1.json run2.json run3.json
+  compare_bench.py --tolerance 0.15 change1.json change2.json change3.json \
+      --baseline parent1.json parent2.json parent3.json
 
-Each benchmark's median across the runs (CI noise absorption) is
-compared against the baseline; any regression beyond the tolerance fails
-the process with exit code 1 and a table of every benchmark on
-stderr/stdout. Benchmarks present in the runs but not in the baseline
-(new benchmarks) are reported but never fail.
+Each benchmark's median across the runs is compared against its median
+across the baseline files, so one noisy sample on either side cannot
+flake the gate. The baseline files are meant to be runs of the parent
+commit's binary on the same host, interleaved with the change's runs:
+a committed baseline from other hardware measures the host, not the
+code. Any regression beyond the tolerance fails the process with exit
+code 1 and a table of every benchmark on stderr/stdout. Benchmarks
+present in the runs but in no baseline file (new benchmarks) are
+reported but never fail.
 """
 
 import argparse
@@ -37,9 +41,24 @@ def load_micro(path):
     return metrics
 
 
+def medians(docs):
+    """benchmark name -> median real_time over the docs that have it."""
+    names = sorted({name for doc in docs for name in doc})
+    return {
+        name: statistics.median(doc[name] for doc in docs if name in doc)
+        for name in names
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", required=True)
+    parser.add_argument(
+        "--baseline",
+        required=True,
+        nargs="+",
+        help="JSON files from repeat runs of the parent; their "
+        "per-benchmark median is the baseline",
+    )
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -49,7 +68,7 @@ def main():
     parser.add_argument("runs", nargs="+", help="JSON files from repeat runs")
     args = parser.parse_args()
 
-    baseline = load_micro(args.baseline)
+    baseline = medians([load_micro(path) for path in args.baseline])
     runs = [load_micro(path) for path in args.runs]
 
     failures = []
@@ -75,7 +94,8 @@ def main():
 
     print(
         f"micro-kernels real_time_ns (lower is better), median of "
-        f"{len(runs)} run(s), tolerance {args.tolerance:.0%}"
+        f"{len(runs)} run(s) vs median of {len(args.baseline)} baseline "
+        f"run(s), tolerance {args.tolerance:.0%}"
     )
     width = max((len(r[0]) for r in rows), default=10)
     print(f"  {'benchmark':<{width}}  {'baseline':>12}  {'median':>12}  "
