@@ -1,9 +1,12 @@
 // Ablation D4 and kernel microbenchmarks (google-benchmark): the SIMD vs
 // scalar distance kernels the paper credits for part of its speedup,
 // plus the other per-series primitives (PAA, SAX conversion, mindist and
-// its per-query table, early abandoning, DTW, LB_Keogh).
+// its per-query table, early abandoning, DTW, LB_Keogh and the
+// LB_Keogh -> DTW refinement cascade).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "bench_common.h"
@@ -197,6 +200,37 @@ void BM_LbKeogh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LbKeogh);
+
+// The refinement cascade of a DTW 1-NN query per fixture candidate:
+// LB_Keogh with its suffix sums, then, for a survivor, banded DTW whose
+// abandon counts the suffix. The bound is 1.5x the fixture's band-12 DTW
+// 1-NN distance, a bound-so-far late in a search: most candidates stop
+// at LB_Keogh, and the rest mostly abandon inside the DP.
+void BM_DtwRefine(benchmark::State& state) {
+  KernelFixture& f = Fixture();
+  static const float bound = [&f] {
+    const SeriesView query = f.query.series(0);
+    float best = std::numeric_limits<float>::infinity();
+    for (SeriesId i = 0; i < f.data.count(); ++i) {
+      best = std::min(best, DtwBand(query, f.data.series(i), 12, best));
+    }
+    return 1.5f * best;
+  }();
+  DtwScratch scratch;
+  size_t i = 0;
+  for (auto _ : state) {
+    const SeriesView candidate = f.data.series(i);
+    float d = LbKeoghSq(f.env_lower, f.env_upper, candidate, bound,
+                        &scratch.suffix);
+    if (d < bound) {
+      d = DtwBand(f.query.series(0), candidate, 12, bound, &scratch,
+                  &scratch.suffix);
+    }
+    benchmark::DoNotOptimize(d);
+    i = (i + 1) % f.data.count();
+  }
+}
+BENCHMARK(BM_DtwRefine);
 
 void BM_ComputeEnvelope(benchmark::State& state) {
   KernelFixture& f = Fixture();

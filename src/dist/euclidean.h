@@ -25,9 +25,8 @@ enum class KernelPolicy { kAuto, kScalar, kAvx2 };
 /// running CPU supports AVX2.
 bool SimdAvailable();
 
-/// Early-abandon checkpoint granularity shared by every abandoning
-/// kernel (scalar ED, AVX2 ED, LB_Keogh): one bound comparison per this
-/// many accumulated points.
+/// Early-abandon checkpoint granularity of the ED kernels (scalar and
+/// AVX2): one bound comparison per this many accumulated points.
 inline constexpr size_t kEarlyAbandonBlock = 16;
 
 /// Portable scalar kernel: sum of squared differences over n points.

@@ -274,7 +274,8 @@ struct EdKnnPolicy {
 };
 
 /// Exact-DTW 1-NN policy: envelope-based lower bounds cascade into
-/// LB_Keogh and finally early-abandoning banded DTW.
+/// LB_Keogh and finally banded DTW, whose early abandon also counts the
+/// LB_Keogh terms of the columns a path has yet to cross.
 struct DtwNnPolicy {
   RawDataView raw;
   /// Envelope-PAA bounds (the MinDistEnvelopePaaTo* form).
@@ -284,8 +285,9 @@ struct DtwNnPolicy {
   size_t band;
   SeriesView query;
   BestNeighbor* result;
-  /// Per-worker DP arenas owned by the query (one per executor worker),
-  /// so concurrent DTW queries never share scratch state.
+  /// Per-worker DP arenas and LB_Keogh suffix sums owned by the query
+  /// (one per executor worker), so concurrent DTW queries never share
+  /// scratch state.
   std::vector<DtwScratch>* scratches;
 
   float Bound() const { return result->Bound(); }
@@ -298,11 +300,15 @@ struct DtwNnPolicy {
     float bound = Bound();
     if (lb >= bound) return;
     const SeriesView candidate = raw.series(e.id);
-    if (LbKeoghSq(*env_lower, *env_upper, candidate, bound) >= bound) return;
+    DtwScratch& scratch = (*scratches)[worker];
+    if (LbKeoghSq(*env_lower, *env_upper, candidate, bound,
+                  &scratch.suffix) >= bound) {
+      return;
+    }
     counts->real_dist_calcs++;
     bound = Bound();
     const float d =
-        DtwBand(query, candidate, band, bound, &(*scratches)[worker]);
+        DtwBand(query, candidate, band, bound, &scratch, &scratch.suffix);
     if (d < bound) result->Offer(e.id, d);
   }
 };

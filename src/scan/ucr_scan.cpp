@@ -231,15 +231,17 @@ Neighbor DtwScanSerial(const RawSeriesSource& source, SeriesView query,
   ComputeEnvelope(query, band, &lower, &upper);
 
   Neighbor best{0, kInf};
+  DtwScratch scratch;
   uint64_t dtw_calcs = 0, abandoned = 0;
   for (SeriesId i = 0; i < view.count; ++i) {
     const float lb = LbKeoghSq(lower, upper, raw.series(i),
-                               best.distance_sq);
+                               best.distance_sq, &scratch.suffix);
     if (lb >= best.distance_sq) {
       ++abandoned;
       continue;
     }
-    const float d = DtwBand(query, raw.series(i), band, best.distance_sq);
+    const float d = DtwBand(query, raw.series(i), band, best.distance_sq,
+                            &scratch, &scratch.suffix);
     ++dtw_calcs;
     if (d < best.distance_sq) best = {i, d};
   }
@@ -267,17 +269,20 @@ Neighbor DtwScanParallel(const RawSeriesSource& source, SeriesView query,
   constexpr size_t kGrain = 128;
   WorkCounter counter(view.count);
   exec->Run([&](int) {
+    DtwScratch scratch;
     uint64_t local_calcs = 0, local_abandoned = 0;
     size_t begin, end;
     while (counter.NextBatch(kGrain, &begin, &end)) {
       for (SeriesId i = begin; i < end; ++i) {
         const float bound = bsf.Load();
-        const float lb = LbKeoghSq(lower, upper, raw.series(i), bound);
+        const float lb =
+            LbKeoghSq(lower, upper, raw.series(i), bound, &scratch.suffix);
         if (lb >= bound) {
           ++local_abandoned;
           continue;
         }
-        const float d = DtwBand(query, raw.series(i), band, bound);
+        const float d = DtwBand(query, raw.series(i), band, bound, &scratch,
+                                &scratch.suffix);
         ++local_calcs;
         if (d < bound) {
           bsf.UpdateMin(d);

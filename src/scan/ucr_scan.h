@@ -83,12 +83,14 @@ Result<Neighbor> UcrScanStream(const RawSeriesSource& source,
 Neighbor BruteForceDtwNn(const RawSeriesSource& source, SeriesView query,
                          size_t band);
 
-/// UCR-DTW: serial scan with the LB_Keogh cascade and early-abandoning
-/// banded DTW.
+/// UCR-DTW: serial scan with the LB_Keogh cascade: LB_Keogh first, then
+/// banded DTW whose early abandon adds LB_Keogh's terms for the columns a
+/// path has yet to cross (dist/dtw.h).
 Neighbor DtwScanSerial(const RawSeriesSource& source, SeriesView query,
                        size_t band, ScanStats* stats = nullptr);
 
-/// Parallel UCR-DTW with a shared atomic BSF.
+/// Parallel UCR-DTW with a shared atomic BSF; the same cascade per
+/// candidate.
 Neighbor DtwScanParallel(const RawSeriesSource& source, SeriesView query,
                          size_t band, Executor* exec,
                          ScanStats* stats = nullptr);

@@ -1,9 +1,13 @@
 // Tests for the distance kernels: scalar/AVX2 agreement, early
-// abandoning semantics, z-normalization, DTW against a naive reference,
-// envelopes and LB_Keogh.
+// abandoning semantics, z-normalization, DTW against row-order
+// references, envelopes, LB_Keogh and the LB_Keogh -> DTW cascade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "dist/dtw.h"
@@ -15,10 +19,23 @@
 namespace parisax {
 namespace {
 
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
 std::vector<float> RandomSeries(Rng& rng, size_t n) {
   std::vector<float> v(n);
   for (float& x : v) x = static_cast<float>(rng.NextGaussian());
   return v;
+}
+
+std::vector<float> RandomWalk(Rng& rng, size_t n) {
+  std::vector<float> v(n);
+  float level = 0.0f;
+  for (float& x : v) x = level += static_cast<float>(rng.NextGaussian());
+  return v;
+}
+
+bool SameBits(float x, float y) {
+  return std::memcmp(&x, &y, sizeof(float)) == 0;
 }
 
 class EuclideanLengths : public ::testing::TestWithParam<size_t> {};
@@ -158,6 +175,86 @@ TEST(ZNormTest, EmptySeriesIsHandled) {
 
 // --- DTW ---------------------------------------------------------------
 
+float SqDiff(float x, float y) {
+  const float d = x - y;
+  return d * d;
+}
+
+// Unconstrained DTW by the full O(n*m) dynamic program, row by row: the
+// full-band reference.
+float DtwNaive(SeriesView a, SeriesView b) {
+  const size_t n = a.size(), m = b.size();
+  if (n == 0 || m == 0) return 0.0f;
+  std::vector<float> prev(m + 1, kInf), cur(m + 1, kInf);
+  prev[0] = 0.0f;
+  for (size_t i = 1; i <= n; ++i) {
+    cur[0] = kInf;
+    for (size_t j = 1; j <= m; ++j) {
+      const float step = std::min({prev[j], cur[j - 1], prev[j - 1]});
+      cur[j] = SqDiff(a[i - 1], b[j - 1]) + step;
+    }
+    std::swap(prev, cur);
+  }
+  return prev[m];
+}
+
+// Banded DTW row by row, abandoning once a row's cheapest cell reaches
+// `bound` (it then returns that row minimum): the reference the
+// anti-diagonal DtwBand must match bit for bit.
+float RowOrderDtwBand(SeriesView a, SeriesView b, size_t band, float bound) {
+  const size_t n = a.size(), m = b.size();
+  if (n == 0 || m == 0) return 0.0f;
+  std::vector<float> prev(m + 1, kInf), cur(m + 1, kInf);
+  prev[0] = 0.0f;
+  for (size_t i = 1; i <= n; ++i) {
+    const size_t lo = i > band ? i - band : 1;
+    const size_t hi = std::min(m, i + band);
+    if (lo > hi) return kInf;  // the band cannot reach the columns
+    std::fill(cur.begin() + (lo - 1),
+              cur.begin() + (std::min(m, hi + 1) + 1), kInf);
+    float row_min = kInf;
+    for (size_t j = lo; j <= hi; ++j) {
+      const float step = std::min({prev[j], cur[j - 1], prev[j - 1]});
+      const float c = SqDiff(a[i - 1], b[j - 1]) + step;
+      cur[j] = c;
+      row_min = std::min(row_min, c);
+    }
+    if (row_min >= bound) return row_min;
+    std::swap(prev, cur);
+  }
+  return prev[m];
+}
+
+// LB_Keogh's term for one point, as the one-chain LB_Keogh computed it.
+float KeoghTerm(float x, float lo, float hi) {
+  if (x > hi) return SqDiff(x, hi);
+  if (x < lo) return SqDiff(x, lo);
+  return 0.0f;
+}
+
+// LB_Keogh's terms summed in eight lanes and joined as LbKeoghSq joins
+// them, without its (1 - delta) scale.
+float UnscaledEightLaneLb(SeriesView lower, SeriesView upper,
+                          SeriesView candidate) {
+  float acc[8] = {};
+  for (size_t i = 0; i < candidate.size(); ++i) {
+    acc[i % 8] += KeoghTerm(candidate[i], lower[i], upper[i]);
+  }
+  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+// LB_Keogh's terms added one after another in column order: the
+// diagonal path's float sum when every cell of a column costs the same.
+float SequentialLb(SeriesView lower, SeriesView upper,
+                   SeriesView candidate) {
+  float sum = 0.0f;
+  for (size_t i = 0; i < candidate.size(); ++i) {
+    sum += KeoghTerm(candidate[i], lower[i], upper[i]);
+  }
+  return sum;
+}
+
 TEST(DtwTest, EqualsNaiveWithFullBand) {
   Rng rng(7);
   for (const size_t n : {1u, 2u, 5u, 16u, 50u}) {
@@ -171,6 +268,50 @@ TEST(DtwTest, EqualsNaiveWithFullBand) {
           << "n=" << n;
     }
   }
+}
+
+TEST(DtwTest, AntiDiagonalEqualsRowOrderBitForBit) {
+  // Lengths 1-40 one by one, then a stride up to 300; for each, equal
+  // lengths, lengths one and three apart (inside every band but 0) and
+  // 13 apart (beyond band 12); bands 0, 1, 4, 12 and the full band.
+  std::vector<size_t> lengths;
+  for (size_t n = 1; n <= 40; ++n) lengths.push_back(n);
+  for (size_t n = 47; n < 300; n += 23) lengths.push_back(n);
+  lengths.push_back(300);
+  Rng rng(18);
+  DtwScratch scratch;
+  size_t checked = 0, abandoned = 0;
+  for (const size_t n : lengths) {
+    for (const size_t m : {n, n + 1, n + 3, n + 13, n > 3 ? n - 3 : n}) {
+      const auto a = RandomWalk(rng, n);
+      const auto b = RandomWalk(rng, m);
+      const SeriesView av(a.data(), n), bv(b.data(), m);
+      for (const size_t band :
+           {size_t{0}, size_t{1}, size_t{4}, size_t{12}, std::max(n, m)}) {
+        const float exact = RowOrderDtwBand(av, bv, band, kInf);
+        for (const float bound :
+             {kInf, exact, std::nextafter(exact, kInf),
+              std::nextafter(exact, -kInf), exact / 2}) {
+          const float want = RowOrderDtwBand(av, bv, band, bound);
+          const float got = DtwBand(av, bv, band, bound, &scratch);
+          const std::string where = "n=" + std::to_string(n) +
+                                    " m=" + std::to_string(m) +
+                                    " band=" + std::to_string(band) +
+                                    " bound=" + std::to_string(bound);
+          if (want < bound) {
+            EXPECT_TRUE(SameBits(got, want))
+                << where << " got=" << got << " want=" << want;
+          } else {
+            EXPECT_GE(got, bound) << where;
+            ++abandoned;
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(abandoned, 0u);
+  EXPECT_GT(checked, abandoned);
 }
 
 TEST(DtwTest, ZeroForIdenticalSeries) {
@@ -324,6 +465,132 @@ TEST(LbKeoghTest, EarlyAbandonReturnsAtLeastBound) {
     if (full <= 0.0f) continue;
     const float bound = full * 0.5f;
     EXPECT_GE(LbKeoghSq(lo, hi, cv, bound), bound);
+  }
+}
+
+TEST(LbKeoghTest, NeverExceedsDtwOnRandomWalks) {
+  // Compared as floats, with no tolerance: pruning on LB_Keogh must never
+  // drop a candidate DtwBand would keep.
+  Rng rng(19);
+  DtwScratch scratch;
+  for (const size_t n : {16u, 61u, 100u, 256u, 512u, 1000u, 2048u}) {
+    for (const size_t band : {size_t{0}, size_t{1}, size_t{4}, size_t{12},
+                              n / 10}) {
+      const auto q = RandomWalk(rng, n);
+      std::vector<float> lo, hi;
+      ComputeEnvelope(SeriesView(q.data(), n), band, &lo, &hi);
+      for (int trial = 0; trial < 4; ++trial) {
+        const auto c = RandomWalk(rng, n);
+        const SeriesView qv(q.data(), n), cv(c.data(), n);
+        const float lb = LbKeoghSq(lo, hi, cv, kInf);
+        const float dtw = DtwBand(qv, cv, band, kInf, &scratch);
+        EXPECT_LE(lb, dtw) << "n=" << n << " band=" << band;
+      }
+    }
+  }
+}
+
+TEST(LbKeoghTest, ScaleCoversLbKeoghEqualToDtw) {
+  // A constant query and candidates entirely outside its envelope: every
+  // cell of column j costs exactly LB_Keogh's term j, so the diagonal
+  // path is optimal and DtwBand's float value is the sequential sum of
+  // the terms. Eight lanes round differently and, unscaled, land above
+  // DTW on some of these inputs; LbKeoghSq's (1 - delta) keeps it below.
+  Rng rng(20);
+  DtwScratch scratch;
+  size_t unscaled_above = 0;
+  for (const size_t n : {16u, 64u, 256u, 1000u}) {
+    const std::vector<float> q(n, 0.5f);
+    std::vector<float> lo, hi;
+    ComputeEnvelope(SeriesView(q.data(), n), 12, &lo, &hi);
+    for (int trial = 0; trial < 25; ++trial) {
+      std::vector<float> c(n);
+      for (float& x : c) {
+        const float gap =
+            0.1f + std::fabs(static_cast<float>(rng.NextGaussian()));
+        x = rng.NextBelow(2) == 0 ? 0.5f + gap : 0.5f - gap;
+      }
+      const SeriesView qv(q.data(), n), cv(c.data(), n);
+      const float dtw = DtwBand(qv, cv, 12, kInf, &scratch);
+      ASSERT_TRUE(SameBits(dtw, SequentialLb(lo, hi, cv))) << "n=" << n;
+      EXPECT_LE(LbKeoghSq(lo, hi, cv, kInf), dtw) << "n=" << n;
+      if (UnscaledEightLaneLb(lo, hi, cv) > dtw) ++unscaled_above;
+    }
+  }
+  EXPECT_GT(unscaled_above, 0u);
+}
+
+TEST(LbKeoghTest, SuffixHoldsTheTermsOfLaterColumns) {
+  Rng rng(21);
+  const size_t n = 77;
+  const auto q = RandomWalk(rng, n);
+  const auto c = RandomWalk(rng, n);
+  std::vector<float> lo, hi, suffix;
+  ComputeEnvelope(SeriesView(q.data(), n), 5, &lo, &hi);
+  const SeriesView cv(c.data(), n);
+  ASSERT_LT(LbKeoghSq(lo, hi, cv, kInf, &suffix), kInf);
+  ASSERT_EQ(suffix.size(), n + 1);
+  EXPECT_EQ(suffix[n], 0.0f);
+  for (size_t j = 0; j < n; ++j) {
+    const float term = KeoghTerm(c[j], lo[j], hi[j]);
+    EXPECT_TRUE(SameBits(suffix[j], term + suffix[j + 1])) << "j=" << j;
+  }
+}
+
+// Runs LbKeoghSq for the envelope of `a` at `band` against `b` and checks
+// the cascaded DtwBand against the plain one: just above the exact value
+// it must return that value bit for bit, and at any bound up to the exact
+// value it must return at least the bound.
+void ExpectCascadeExact(SeriesView a, SeriesView b, size_t band,
+                        const std::string& where) {
+  std::vector<float> lo, hi, suffix;
+  ComputeEnvelope(a, band, &lo, &hi);
+  DtwScratch scratch;
+  const float exact = DtwBand(a, b, band, kInf, &scratch);
+  ASSERT_LE(LbKeoghSq(lo, hi, b, kInf, &suffix), exact) << where;
+  ASSERT_EQ(suffix.size(), b.size() + 1) << where;
+  const float above = std::nextafter(exact, kInf);
+  const float kept = DtwBand(a, b, band, above, &scratch, &suffix);
+  EXPECT_TRUE(SameBits(kept, exact))
+      << where << " kept=" << kept << " exact=" << exact;
+  for (const float bound : {exact, std::nextafter(exact, -kInf),
+                            exact * 0.9f, exact / 2, 0.0f}) {
+    EXPECT_GE(DtwBand(a, b, band, bound, &scratch, &suffix), bound)
+        << where << " bound=" << bound;
+  }
+}
+
+TEST(DtwCascadeTest, NeverAbandonsBelowTheBound) {
+  Rng rng(22);
+  for (const size_t n : {1u, 8u, 33u, 96u, 256u}) {
+    for (const size_t band : {size_t{0}, size_t{1}, size_t{4}, size_t{12},
+                              n}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        const auto a = RandomWalk(rng, n);
+        const auto b = RandomWalk(rng, n);
+        ExpectCascadeExact(SeriesView(a.data(), n), SeriesView(b.data(), n),
+                           band,
+                           "n=" + std::to_string(n) +
+                               " band=" + std::to_string(band));
+      }
+    }
+  }
+}
+
+TEST(DtwCascadeTest, NeverAbandonsWhenLbKeoghEqualsDtw) {
+  // The tight case of ScaleCoversLbKeoghEqualToDtw: the suffix sums
+  // leave no slack on the optimal path except the (1 - delta) scale.
+  Rng rng(23);
+  for (const size_t n : {16u, 64u, 256u}) {
+    const std::vector<float> q(n, -0.25f);
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<float> c(n);
+      for (float& x : c) {
+        x = 0.5f + std::fabs(static_cast<float>(rng.NextGaussian()));
+      }
+      ExpectCascadeExact(SeriesView(q.data(), n), SeriesView(c.data(), n),
+                         12, "n=" + std::to_string(n));
+    }
   }
 }
 

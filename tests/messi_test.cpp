@@ -215,6 +215,60 @@ TEST(MessiTest, ParallelStage3LosesNoCounts) {
   }
 }
 
+// Seismic bursts with perturbed-member queries, as in bench/suite's
+// snap_hard: the envelope iSAX bound prunes nothing here, so LB_Keogh and
+// the cascaded DTW do all the pruning. Every path must still return the
+// brute-force neighbor at the same float.
+class SeismicDtwSweep : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SeismicDtwSweep, MessiAndScansMatchBruteForce) {
+  const size_t band = GetParam();
+  constexpr size_t kCount = 2000, kLength = 128;
+  GeneratorOptions gen;
+  gen.kind = DatasetKind::kSeismicBurst;
+  gen.count = kCount;
+  gen.length = kLength;
+  gen.seed = 61;
+  const Dataset data = GenerateDataset(gen);
+  const Dataset queries = GeneratePerturbedQueries(
+      DatasetKind::kSeismicBurst, 4, kLength, gen.seed, kCount);
+  ThreadPool pool(4);
+  InlineExecutor inline_exec;
+  MessiBuildOptions build = SmallBuild(4);
+  build.tree.series_length = kLength;
+  auto index = MessiIndex::Build(Mem(data), build, &pool);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const InMemorySource source(&data);
+  MessiQueryOptions qopts;
+  qopts.num_workers = 4;
+  qopts.dtw_band = band;
+  uint64_t refined = 0;
+  for (size_t q = 0; q < queries.count(); ++q) {
+    const SeriesView query = queries.series(q);
+    const std::string where =
+        "band=" + std::to_string(band) + " q=" + std::to_string(q);
+    const Neighbor oracle = BruteForceDtwNn(source, query, band);
+    QueryStats stats;
+    auto inline_nn =
+        (*index)->SearchExactDtw(query, qopts, &inline_exec, &stats);
+    auto pool_nn = (*index)->SearchExactDtw(query, qopts, &pool);
+    ASSERT_TRUE(inline_nn.ok() && pool_nn.ok()) << where;
+    ExpectSameNeighbors({oracle}, {*inline_nn}, where + " messi inline");
+    ExpectSameNeighbors({oracle}, {*pool_nn}, where + " messi pool");
+    const Neighbor serial = DtwScanSerial(source, query, band);
+    const Neighbor parallel = DtwScanParallel(source, query, band, &pool);
+    ExpectSameNeighbors({oracle}, {serial}, where + " scan serial");
+    ExpectSameNeighbors({oracle}, {parallel}, where + " scan parallel");
+    // Every entry reaches LB_Keogh; the DTW kernel sees only part of them.
+    EXPECT_EQ(stats.lb_checks, kCount) << where;
+    refined += stats.real_dist_calcs;
+  }
+  EXPECT_LT(refined, queries.count() * kCount);
+}
+
+INSTANTIATE_TEST_SUITE_P(Bands, SeismicDtwSweep,
+                         ::testing::Values(0u, 4u, 12u, 25u));
+
 TEST(MessiTest, QueryStatsShowTreePruning) {
   const Dataset data = MakeData(6000);
   ThreadPool pool(2);

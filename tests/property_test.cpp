@@ -5,6 +5,7 @@
 // main defense against configuration-dependent correctness bugs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <string>
 #include <tuple>
@@ -175,8 +176,10 @@ TEST_P(DtwBandSweep, MatchesOracleAtEveryBand) {
     request.dtw_band = band;
     auto response = (*engine)->Search(queries.series(q), request);
     ASSERT_TRUE(response.ok());
-    EXPECT_NEAR(response->neighbors[0].distance_sq, oracle.distance_sq,
-                kTol * std::max(1.0f, oracle.distance_sq))
+    EXPECT_EQ(response->neighbors[0].id, oracle.id)
+        << "band=" << band << " q=" << q;
+    EXPECT_EQ(std::bit_cast<uint32_t>(response->neighbors[0].distance_sq),
+              std::bit_cast<uint32_t>(oracle.distance_sq))
         << "band=" << band << " q=" << q;
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <thread>
 
@@ -156,10 +157,14 @@ TEST(DtwScanTest, SerialAndParallelMatchBruteForceDtw) {
         DtwScanSerial(InMemorySource(&data), query, band, &s1);
     const Neighbor parallel = DtwScanParallel(InMemorySource(&data), query,
                                               band, &pool, &s2);
-    EXPECT_NEAR(serial.distance_sq, oracle.distance_sq,
-                1e-3f * std::max(1.0f, oracle.distance_sq));
-    EXPECT_NEAR(parallel.distance_sq, oracle.distance_sq,
-                1e-3f * std::max(1.0f, oracle.distance_sq));
+    // The same neighbor at the same float: pruning on LB_Keogh and on the
+    // cascade never changes an answer.
+    EXPECT_EQ(serial.id, oracle.id);
+    EXPECT_EQ(std::bit_cast<uint32_t>(serial.distance_sq),
+              std::bit_cast<uint32_t>(oracle.distance_sq));
+    EXPECT_EQ(parallel.id, oracle.id);
+    EXPECT_EQ(std::bit_cast<uint32_t>(parallel.distance_sq),
+              std::bit_cast<uint32_t>(oracle.distance_sq));
     // LB_Keogh must prune a meaningful share of full DTW computations.
     EXPECT_LT(s1.distance_calcs, data.count());
   }
