@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sax/mindist.h"
@@ -182,13 +183,15 @@ Result<Neighbor> AdsIndex::SearchExact(SeriesView query,
   // summaries per step.
   WallTimer filter;
   const MinDistTable lbs(paa, paa, w, n);
-  std::vector<SeriesId> candidates;
+  std::vector<std::pair<SeriesId, float>> candidates;  // (id, bound)
   float bounds[kFilterBlock];
   for (SeriesId begin = 0; begin < cache_.count(); begin += kFilterBlock) {
     const size_t count = std::min(kFilterBlock, cache_.count() - begin);
     lbs.ToSymbolsSq(&cache_.At(begin), sizeof(SaxSymbols), count, bounds);
     for (size_t i = 0; i < count; ++i) {
-      if (bounds[i] < best.distance_sq) candidates.push_back(begin + i);
+      if (bounds[i] < best.distance_sq) {
+        candidates.emplace_back(begin + i, bounds[i]);
+      }
     }
   }
   if (stats != nullptr) {
@@ -197,12 +200,13 @@ Result<Neighbor> AdsIndex::SearchExact(SeriesView query,
     stats->filter_phase_seconds = filter.ElapsedSeconds();
   }
 
-  // Phase 3: skip-sequential refinement (candidates are in position
-  // order already; keep it explicit for clarity).
+  // Phase 3: skip-sequential refinement in position order (the serial
+  // filter emits candidates in id order). A candidate whose bound has
+  // reached the BSF is skipped before it is read (SIMS).
   WallTimer refine;
-  std::sort(candidates.begin(), candidates.end());
   std::vector<Value> buffer(source_->length());
-  for (const SeriesId id : candidates) {
+  for (const auto& [id, bound] : candidates) {
+    if (bound >= best.distance_sq) continue;
     SeriesView view = source_->TryView(id);
     if (view.empty()) {
       PARISAX_RETURN_IF_ERROR(source_->GetSeries(id, buffer.data()));

@@ -7,7 +7,8 @@
 // Exact query answering follows ADS+'s SIMS strategy: seed a BSF with the
 // real distances of the query's approximate-match leaf, serially filter
 // the flat SAX array with mindist, then skip-sequentially scan the raw
-// file for the surviving candidates (candidates sorted by position).
+// file for the surviving candidates (candidates sorted by position),
+// skipping any whose bound has reached the BSF before reading it.
 #ifndef PARISAX_INDEX_ADS_INDEX_H_
 #define PARISAX_INDEX_ADS_INDEX_H_
 

@@ -1,7 +1,8 @@
-// Bounded k-nearest result set: the generalization of the BSF used for
-// kNN queries. The pruning bound is the k-th best distance (or +inf until
-// k results exist), so it is monotonically non-increasing and all
-// BSF-based pruning arguments carry over.
+// The thread-safe result sets exact searches prune against: BestNeighbor
+// for 1-NN (the best-so-far, BSF) and KnnHeap for kNN. KnnHeap's pruning
+// bound is the k-th best distance (or +inf until k results exist), so it
+// is monotonically non-increasing and all BSF-based pruning arguments
+// carry over.
 #ifndef PARISAX_INDEX_KNN_HEAP_H_
 #define PARISAX_INDEX_KNN_HEAP_H_
 
@@ -12,8 +13,37 @@
 
 #include "core/types.h"
 #include "util/mutex.h"
+#include "util/threading.h"
 
 namespace parisax {
+
+/// Thread-safe single best neighbor (1-NN result set): the atomic BSF
+/// workers prune against, and the (distance, id)-ordered best match.
+struct BestNeighbor {
+  explicit BestNeighbor(Neighbor seed) : bsf(seed.distance_sq), best(seed) {}
+
+  float Bound() const { return bsf.Load(); }
+
+  void Offer(SeriesId id, float d) {
+    if (!bsf.UpdateMin(d) && d > bsf.Load()) return;
+    MutexLock lock(&mu);
+    if (d < best.distance_sq || (d == best.distance_sq && id < best.id)) {
+      best = Neighbor{id, d};
+    }
+  }
+
+  /// Final answer; the searches read it only after the worker fan-in
+  /// (Executor::Run has joined), but it still locks for the analysis
+  /// and for any future streaming reader.
+  Neighbor Take() const {
+    MutexLock lock(&mu);
+    return best;
+  }
+
+  AtomicMinFloat bsf;
+  mutable Mutex mu{"BestNeighbor::mu", LockRank::kResultMerge};
+  Neighbor best PARISAX_GUARDED_BY(mu);
+};
 
 class KnnHeap {
  public:

@@ -82,6 +82,13 @@ class RawSeriesSource {
   /// racing the head around the platter.
   virtual bool PrefersSequentialAccess() const { return false; }
 
+  /// True when the backing device charges each random read its own
+  /// latency (a metered device: a seek, or a channel's queue), so reading
+  /// in position order costs less than reading in any other order. False
+  /// where reads cost the same in any order: memory, mmap, an unmetered
+  /// file behind the page cache.
+  virtual bool MetersRandomReads() const { return false; }
+
   /// True when AppendSeries can extend this source in place (the engine
   /// append path; see docs/architecture.md). False for borrowed and
   /// read-only sources.
@@ -172,7 +179,10 @@ class FileSource : public RawSeriesSource {
       size_t batch_series) const override;
 
   bool PrefersSequentialAccess() const override {
-    return disk_->profile().metered() && disk_->profile().channels <= 1;
+    return MetersRandomReads() && disk_->profile().channels <= 1;
+  }
+  bool MetersRandomReads() const override {
+    return disk_->profile().metered();
   }
 
   /// Appends to the dataset file, then reopens the device model over the

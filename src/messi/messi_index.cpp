@@ -197,34 +197,6 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
   for (const QueryStats& w : worker_stats) stats->MergeCounters(w);
 }
 
-/// Thread-safe single best neighbor (1-NN result set): the atomic BSF
-/// workers prune against, and the (distance, id)-ordered best match.
-struct BestNeighbor {
-  explicit BestNeighbor(Neighbor seed) : bsf(seed.distance_sq), best(seed) {}
-
-  float Bound() const { return bsf.Load(); }
-
-  void Offer(SeriesId id, float d) {
-    if (!bsf.UpdateMin(d) && d > bsf.Load()) return;
-    MutexLock lock(&mu);
-    if (d < best.distance_sq || (d == best.distance_sq && id < best.id)) {
-      best = Neighbor{id, d};
-    }
-  }
-
-  /// Final answer; the searches read it only after the worker fan-in
-  /// (Executor::Run has joined), but it still locks for the analysis
-  /// and for any future streaming reader.
-  Neighbor Take() const {
-    MutexLock lock(&mu);
-    return best;
-  }
-
-  AtomicMinFloat bsf;
-  mutable Mutex mu{"BestNeighbor::mu", LockRank::kResultMerge};
-  Neighbor best PARISAX_GUARDED_BY(mu);
-};
-
 /// Exact-ED 1-NN policy.
 struct EdNnPolicy {
   RawDataView raw;

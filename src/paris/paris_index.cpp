@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "index/knn_heap.h"
 #include "paris/recbuf.h"
 #include "sax/mindist.h"
 #include "sax/paa.h"
@@ -23,6 +24,158 @@ constexpr double kFlushFillFraction = 0.5;
 constexpr size_t kFilterGrain = 4096;
 /// Candidates per Fetch&Inc claim in the refinement phase.
 constexpr size_t kRefineGrain = 4;
+/// Survivors sorted into the first bound-order refinement window; each
+/// later window is four times larger.
+constexpr size_t kFirstRefineWindow = 512;
+/// Series one skip-sequential read pass fetches before the pool
+/// computes their distances.
+constexpr size_t kSequentialChunk = 256;
+
+/// A series that survived the lower-bound filter, with its bound.
+struct Survivor {
+  float bound;
+  SeriesId id;
+};
+
+bool BoundOrder(const Survivor& a, const Survivor& b) {
+  return a.bound < b.bound || (a.bound == b.bound && a.id < b.id);
+}
+
+bool IdOrder(const Survivor& a, const Survivor& b) { return a.id < b.id; }
+
+/// Refines `survivors` on the pool against `best`, reading each series
+/// from the pinned `raw` view when the snapshot has one, else from
+/// `source`. Returns the number of survivors refined, or the first read
+/// error.
+///
+/// With `bound_order` (random reads cost the same in any order: memory,
+/// mmap, an unmetered file) the survivors go in ascending (bound, id)
+/// order and a worker stops at the first bound that has reached the BSF:
+/// every later bound is no smaller and the BSF only falls, so no later
+/// survivor can win. A loose seed leaves many survivors that are never
+/// refined, so only the next window is selected and sorted, after
+/// dropping what the BSF has already overtaken.
+///
+/// Without it (a metered device with several channels, the SSD model)
+/// the survivors go in position order, so each worker's reads stay
+/// forward and mostly inside the device's read-through window, and a
+/// survivor whose bound has reached the BSF is skipped before it is read
+/// (SIMS's rule).
+Result<uint64_t> RefineParallel(std::vector<Survivor>* survivors,
+                                bool bound_order, SeriesView query,
+                                const ParisQueryOptions& options,
+                                Executor* exec, BestNeighbor* best,
+                                const RawDataView& raw,
+                                const RawSeriesSource& source) {
+  Survivor* const s = survivors->data();
+  size_t begin = 0;
+  size_t live = survivors->size();
+  if (!bound_order) std::sort(s, s + live, IdOrder);
+  std::atomic<uint64_t> refined{0};
+  std::atomic<bool> stop{false};
+  Mutex error_mu{"RefineParallel::error_mu", LockRank::kFirstError};
+  Status error;
+  for (size_t window = kFirstRefineWindow; begin < live && !stop.load();
+       window *= 4) {
+    size_t end = live;  // position order: one pass over every survivor
+    if (bound_order) {
+      const float bsf = best->Bound();
+      live = std::partition(
+                 s + begin, s + live,
+                 [bsf](const Survivor& c) { return c.bound < bsf; }) -
+             s;
+      end = std::min(live, begin + window);
+      if (end < live) {
+        std::nth_element(s + begin, s + end, s + live, BoundOrder);
+      }
+      std::sort(s + begin, s + end, BoundOrder);
+    }
+    WorkCounter counter(end - begin);
+    exec->Run([&](int) {
+      std::vector<Value> buffer(query.size());
+      uint64_t count = 0;
+      size_t first, last;
+      while (!stop.load(std::memory_order_relaxed) &&
+             counter.NextBatch(kRefineGrain, &first, &last)) {
+        if (Expired(options.cancel)) break;
+        for (const Survivor* c = s + begin + first; c < s + begin + last;
+             ++c) {
+          const float bound = best->Bound();
+          if (c->bound >= bound) {
+            if (!bound_order) continue;
+            stop.store(true, std::memory_order_relaxed);
+            break;
+          }
+          // The pinned view needs no source virtuals, so a concurrent
+          // append cannot interfere.
+          SeriesView view = raw.base != nullptr ? raw.series(c->id)
+                                                : source.TryView(c->id);
+          if (view.empty()) {
+            const Status st = source.GetSeries(c->id, buffer.data());
+            if (!st.ok()) {
+              MutexLock lock(&error_mu);
+              if (error.ok()) error = st;
+              stop.store(true, std::memory_order_relaxed);
+              break;
+            }
+            view = SeriesView(buffer.data(), buffer.size());
+          }
+          ++count;
+          const float d =
+              SquaredEuclideanEarlyAbandon(query, view, bound, options.kernel);
+          if (d < bound) best->Offer(c->id, d);
+        }
+      }
+      refined.fetch_add(count, std::memory_order_relaxed);
+    });
+    if (Expired(options.cancel)) break;
+    begin = end;
+  }
+  MutexLock lock(&error_mu);
+  if (!error.ok()) return error;
+  return refined.load();
+}
+
+/// Seek-bound device (an HDD): racing workers would destroy the
+/// skip-sequential order and pay a seek per candidate. One I/O stream
+/// reads the survivors in position order, a chunk at a time, and skips
+/// any whose bound has reached the BSF before reading it (SIMS's rule);
+/// the pool computes each chunk's distances. Returns the number of
+/// survivors read and refined.
+Result<uint64_t> RefineSkipSequential(std::vector<Survivor>* survivors,
+                                      SeriesView query,
+                                      const ParisQueryOptions& options,
+                                      Executor* exec, BestNeighbor* best,
+                                      const RawSeriesSource& source) {
+  std::sort(survivors->begin(), survivors->end(), IdOrder);
+  const size_t n = query.size();
+  std::vector<Value> values(kSequentialChunk * n);
+  SeriesId ids[kSequentialChunk];
+  uint64_t refined = 0;
+  size_t next = 0;
+  while (next < survivors->size() && !Expired(options.cancel)) {
+    size_t count = 0;
+    for (; next < survivors->size() && count < kSequentialChunk; ++next) {
+      const Survivor& c = (*survivors)[next];
+      if (c.bound >= best->Bound()) continue;
+      PARISAX_RETURN_IF_ERROR(
+          source.GetSeries(c.id, values.data() + count * n));
+      ids[count++] = c.id;
+    }
+    refined += count;
+    WorkCounter counter(count);
+    exec->Run([&](int) {
+      size_t c;
+      while (counter.NextItem(&c)) {
+        const float bound = best->Bound();
+        const float d = SquaredEuclideanEarlyAbandon(
+            query.data(), values.data() + c * n, n, bound, options.kernel);
+        if (d < bound) best->Offer(ids[c], d);
+      }
+    });
+  }
+  return refined;
+}
 
 /// One half of the double-buffered raw data buffer (Stage 1 <-> Stage 2).
 struct BatchSlot {
@@ -485,9 +638,9 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
 
   // Phase 1: BSF from the approximate-match leaves (base + segments).
   WallTimer approx_timer;
-  Neighbor best;
+  Neighbor seed;
   PARISAX_ASSIGN_OR_RETURN(
-      best, ProbeAllTrees(*snap, query, paa, sax, options.kernel, stats));
+      seed, ProbeAllTrees(*snap, query, paa, sax, options.kernel, stats));
   if (stats != nullptr) {
     stats->approx_phase_seconds = approx_timer.ElapsedSeconds();
   }
@@ -511,15 +664,16 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
 
   // Phase 2: lower-bound workers filter the SAX summaries in parallel
   // against the frozen seed bound. A claimed block is bounded run by
-  // run, four summaries per step, into a block of bounds on the stack.
+  // run, four summaries per step, into a block of bounds on the stack;
+  // each worker keeps its survivors with their bounds.
   WallTimer filter_timer;
-  const float bsf0 = best.distance_sq;
+  const float bsf0 = seed.distance_sq;
   const MinDistTable lbs(paa, paa, w, n);
-  std::vector<SeriesId> candidates(snap->count);
-  std::atomic<size_t> tail{0};
+  std::vector<std::vector<Survivor>> kept(exec->num_threads());
   {
     WorkCounter counter(snap->count);
-    exec->Run([&](int) {
+    exec->Run([&](int worker) {
+      std::vector<Survivor>& out = kept[worker];
       float bounds[kFilterGrain];
       size_t begin, end;
       while (counter.NextBatch(kFilterGrain, &begin, &end)) {
@@ -531,137 +685,49 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
           lbs.ToSymbolsSq(run.rows + (lo - run.first), sizeof(SaxSymbols),
                           hi - lo, bounds);
           for (SeriesId i = lo; i < hi; ++i) {
-            if (bounds[i - lo] < bsf0) {
-              candidates[tail.fetch_add(1, std::memory_order_relaxed)] = i;
-            }
+            if (bounds[i - lo] < bsf0) out.push_back({bounds[i - lo], i});
           }
         }
       }
     });
   }
-  const size_t num_candidates = tail.load();
+  std::vector<Survivor> survivors = std::move(kept[0]);
+  for (size_t t = 1; t < kept.size(); ++t) {
+    survivors.insert(survivors.end(), kept[t].begin(), kept[t].end());
+  }
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");
   }
-  // Skip-sequential order for the raw-data reads.
-  std::sort(candidates.begin(), candidates.begin() + num_candidates);
   if (stats != nullptr) {
     stats->lb_checks += snap->count;
-    stats->candidates += num_candidates;
+    stats->candidates += survivors.size();
     stats->filter_phase_seconds = filter_timer.ElapsedSeconds();
   }
 
-  // Phase 3: real-distance workers refine candidates in parallel.
+  // Phase 3: real-distance workers refine the survivors against a
+  // shared BSF: in ascending-bound order where random reads cost nothing,
+  // in position order on a metered device (one read stream on a
+  // seek-bound one).
   WallTimer refine_timer;
-  AtomicMinFloat bsf(bsf0);
-  Mutex best_mu{"best_mu", LockRank::kResultMerge};
-  std::atomic<bool> failed{false};
-  Status worker_status;
-  if (snap->raw.base != nullptr) {
-    // Addressable snapshot: refine straight off the pinned raw view —
-    // no source virtuals, so a concurrent append can't interfere.
-    WorkCounter counter(num_candidates);
-    exec->Run([&](int) {
-      size_t begin, end;
-      while (counter.NextBatch(kRefineGrain, &begin, &end)) {
-        if (Expired(options.cancel)) return;
-        for (size_t c = begin; c < end; ++c) {
-          const SeriesId id = candidates[c];
-          const float bound = bsf.Load();
-          const float d = SquaredEuclideanEarlyAbandon(
-              query, snap->raw.series(id), bound, options.kernel);
-          if (d < bound) {
-            bsf.UpdateMin(d);
-            MutexLock lock(&best_mu);
-            if (d < best.distance_sq ||
-                (d == best.distance_sq && id < best.id)) {
-              best = Neighbor{id, d};
-            }
-          }
-        }
-      }
-    });
-  } else if (source_->PrefersSequentialAccess()) {
-    // Spinning disk: racing workers would destroy the skip-sequential
-    // order and pay a seek per candidate. One I/O stream reads the
-    // sorted candidates in chunks; the pool computes distances per
-    // chunk.
-    constexpr size_t kChunk = 256;
-    std::vector<Value> chunk_values(kChunk * n);
-    for (size_t base = 0; base < num_candidates; base += kChunk) {
-      if (Expired(options.cancel)) break;
-      const size_t count = std::min(kChunk, num_candidates - base);
-      for (size_t c = 0; c < count; ++c) {
-        PARISAX_RETURN_IF_ERROR(source_->GetSeries(
-            candidates[base + c], chunk_values.data() + c * n));
-      }
-      WorkCounter counter(count);
-      exec->Run([&](int) {
-        size_t c;
-        while (counter.NextItem(&c)) {
-          const float bound = bsf.Load();
-          const float d = SquaredEuclideanEarlyAbandon(
-              query.data(), chunk_values.data() + c * n, n, bound,
-              options.kernel);
-          if (d < bound) {
-            bsf.UpdateMin(d);
-            const SeriesId id = candidates[base + c];
-            MutexLock lock(&best_mu);
-            if (d < best.distance_sq ||
-                (d == best.distance_sq && id < best.id)) {
-              best = Neighbor{id, d};
-            }
-          }
-        }
-      });
-    }
-  } else {
-    WorkCounter counter(num_candidates);
-    exec->Run([&](int) {
-      std::vector<Value> buffer(source_->length());
-      size_t begin, end;
-      while (counter.NextBatch(kRefineGrain, &begin, &end)) {
-        if (failed.load(std::memory_order_acquire)) return;
-        if (Expired(options.cancel)) return;
-        for (size_t c = begin; c < end; ++c) {
-          const SeriesId id = candidates[c];
-          SeriesView view = source_->TryView(id);
-          if (view.empty()) {
-            const Status st = source_->GetSeries(id, buffer.data());
-            if (!st.ok()) {
-              MutexLock lock(&best_mu);
-              if (worker_status.ok()) worker_status = st;
-              failed.store(true, std::memory_order_release);
-              return;
-            }
-            view = SeriesView(buffer.data(), buffer.size());
-          }
-          const float bound = bsf.Load();
-          const float d =
-              SquaredEuclideanEarlyAbandon(query, view, bound,
-                                           options.kernel);
-          if (d < bound) {
-            bsf.UpdateMin(d);
-            MutexLock lock(&best_mu);
-            if (d < best.distance_sq ||
-                (d == best.distance_sq && id < best.id)) {
-              best = Neighbor{id, d};
-            }
-          }
-        }
-      }
-    });
-  }
-  PARISAX_RETURN_IF_ERROR(worker_status);
+  BestNeighbor best(seed);
+  const Result<uint64_t> refined =
+      source_->PrefersSequentialAccess()
+          ? RefineSkipSequential(&survivors, query, options, exec, &best,
+                                 *source_)
+          : RefineParallel(&survivors,
+                           snap->raw.base != nullptr ||
+                               !source_->MetersRandomReads(),
+                           query, options, exec, &best, snap->raw, *source_);
+  PARISAX_RETURN_IF_ERROR(refined.status());
   if (stats != nullptr) {
-    stats->real_dist_calcs += num_candidates;
+    stats->real_dist_calcs += *refined;
     stats->refine_phase_seconds = refine_timer.ElapsedSeconds();
     stats->total_seconds = total.ElapsedSeconds();
   }
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");
   }
-  return best;
+  return best.Take();
 }
 
 }  // namespace parisax

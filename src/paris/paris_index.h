@@ -33,9 +33,13 @@
 // addressable sources never exclude queries.
 //
 // Query answering (both variants): seed the BSF from the approximate-
-// match leaf, filter the flat SAX array in parallel with SIMD mindist,
-// then compute real distances of surviving candidates in parallel with a
-// shared atomic BSF.
+// match leaf, filter the flat SAX array in parallel with mindist, keeping
+// each survivor's bound, then compute real distances of the survivors in
+// parallel against a shared atomic BSF. Where random reads cost nothing
+// they are refined in ascending-bound order up to the first bound that
+// has reached the BSF; on a metered device (an SSD, or through one read
+// stream an HDD) in position order, skipping any whose bound the BSF has
+// reached (docs/architecture.md, "ParIS/ParIS+ refinement").
 #ifndef PARISAX_PARIS_PARIS_INDEX_H_
 #define PARISAX_PARIS_PARIS_INDEX_H_
 

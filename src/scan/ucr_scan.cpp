@@ -6,7 +6,6 @@
 
 #include "dist/dtw.h"
 #include "index/knn_heap.h"
-#include "util/mutex.h"
 #include "util/timer.h"
 
 namespace parisax {
@@ -103,9 +102,7 @@ Neighbor UcrScanParallel(const RawSeriesSource& source, SeriesView query,
   WallTimer timer;
   const ScanView view = ViewOf(source);
   const RawDataView raw = view.raw;
-  AtomicMinFloat bsf(kInf);
-  Mutex best_mu{"best_mu", LockRank::kResultMerge};
-  Neighbor best{0, kInf};
+  BestNeighbor best(Neighbor{0, kInf});
   std::atomic<uint64_t> abandoned{0};
 
   constexpr size_t kGrain = 256;
@@ -115,13 +112,11 @@ Neighbor UcrScanParallel(const RawSeriesSource& source, SeriesView query,
     size_t begin, end;
     while (counter.NextBatch(kGrain, &begin, &end)) {
       for (SeriesId i = begin; i < end; ++i) {
-        const float bound = bsf.Load();
+        const float bound = best.Bound();
         const float d = SquaredEuclideanEarlyAbandon(query, raw.series(i),
                                                      bound, kernel);
         if (d < bound) {
-          bsf.UpdateMin(d);
-          MutexLock lock(&best_mu);
-          if (Improves({i, d}, best)) best = {i, d};
+          best.Offer(i, d);
         } else {
           ++local_abandoned;
         }
@@ -135,7 +130,7 @@ Neighbor UcrScanParallel(const RawSeriesSource& source, SeriesView query,
     stats->abandoned += abandoned.load();
     stats->seconds += timer.ElapsedSeconds();
   }
-  return best;
+  return best.Take();
 }
 
 std::vector<Neighbor> UcrKnnParallel(const RawSeriesSource& source,
@@ -261,9 +256,7 @@ Neighbor DtwScanParallel(const RawSeriesSource& source, SeriesView query,
   std::vector<Value> lower, upper;
   ComputeEnvelope(query, band, &lower, &upper);
 
-  AtomicMinFloat bsf(kInf);
-  Mutex best_mu{"best_mu", LockRank::kResultMerge};
-  Neighbor best{0, kInf};
+  BestNeighbor best(Neighbor{0, kInf});
   std::atomic<uint64_t> dtw_calcs{0}, abandoned{0};
 
   constexpr size_t kGrain = 128;
@@ -274,7 +267,7 @@ Neighbor DtwScanParallel(const RawSeriesSource& source, SeriesView query,
     size_t begin, end;
     while (counter.NextBatch(kGrain, &begin, &end)) {
       for (SeriesId i = begin; i < end; ++i) {
-        const float bound = bsf.Load();
+        const float bound = best.Bound();
         const float lb =
             LbKeoghSq(lower, upper, raw.series(i), bound, &scratch.suffix);
         if (lb >= bound) {
@@ -284,11 +277,7 @@ Neighbor DtwScanParallel(const RawSeriesSource& source, SeriesView query,
         const float d = DtwBand(query, raw.series(i), band, bound, &scratch,
                                 &scratch.suffix);
         ++local_calcs;
-        if (d < bound) {
-          bsf.UpdateMin(d);
-          MutexLock lock(&best_mu);
-          if (Improves({i, d}, best)) best = {i, d};
-        }
+        if (d < bound) best.Offer(i, d);
       }
     }
     dtw_calcs.fetch_add(local_calcs, std::memory_order_relaxed);
@@ -300,7 +289,7 @@ Neighbor DtwScanParallel(const RawSeriesSource& source, SeriesView query,
     stats->abandoned += abandoned.load();
     stats->seconds += timer.ElapsedSeconds();
   }
-  return best;
+  return best.Take();
 }
 
 }  // namespace parisax

@@ -107,9 +107,9 @@ enum class LockRank : int {
   kLeafNode = 150,        ///< Node::leaf_mutex_ (ParIS+ flush vs drain)
   kLeafStorage = 160,     ///< LeafStorage::mu_ (leaf chunk file)
   kQueryQueue = 170,      ///< MESSI SharedQueue::mu (stage-3 queues)
-  kResultMerge = 180,     ///< KnnHeap::mu_ / BestNeighbor::mu / best_mu
+  kResultMerge = 180,     ///< KnnHeap::mu_ / BestNeighbor::mu
   // --- leaves (nothing is ever acquired under these) ---
-  kFirstError = 190,  ///< builders' first-error latches (error_mu)
+  kFirstError = 190,  ///< first-error latches (builders, ParIS refine)
   kPool = 200,        ///< ThreadPool::mu_ (phase protocol)
   kTaskGroup = 210,   ///< TaskGroup::mu_ (completion counter)
   kServeStats = 220,  ///< QueryService::stats_mu_ (serve counters)

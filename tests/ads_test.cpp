@@ -8,6 +8,8 @@
 
 #include "io/format.h"
 #include "io/generator.h"
+#include "sax/mindist.h"
+#include "sax/paa.h"
 #include "scan/ucr_scan.h"
 
 namespace parisax {
@@ -126,9 +128,22 @@ TEST(AdsTest, SimsPhaseAccountingIsConsistent) {
     ASSERT_TRUE(nn.ok());
     // One lower-bound check per series.
     EXPECT_EQ(stats.lb_checks, data.count());
-    // Candidates = what survived; every candidate got a real distance,
-    // plus the approximate phase's leaf members.
-    EXPECT_GE(stats.real_dist_calcs, stats.candidates);
+    // Candidates = what survived. SIMS skips a candidate whose bound has
+    // reached the BSF, and the BSF never falls below the answer, so every
+    // candidate bounded below the answer got a real distance; at most
+    // every candidate did, plus the approximate phase's leaf members.
+    float paa[kMaxSegments];
+    ComputePaa(queries.series(q), SmallBuild().tree.segments, paa);
+    uint64_t below_answer = 0;
+    for (SeriesId i = 0; i < data.count(); ++i) {
+      if (MinDistPaaToSymbolsSq(paa, (*index)->cache().At(i),
+                                SmallBuild().tree.segments,
+                                data.length()) < nn->distance_sq) {
+        ++below_answer;
+      }
+    }
+    EXPECT_LE(below_answer, stats.candidates);
+    EXPECT_GE(stats.real_dist_calcs, below_answer);
     EXPECT_LE(stats.real_dist_calcs,
               stats.candidates + SmallBuild().tree.leaf_capacity + 1);
     // Phases are timed.

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <string>
 #include <thread>
 #include <unistd.h>
 
@@ -17,6 +19,7 @@
 #include "io/format.h"
 #include "io/generator.h"
 #include "paris/paris_index.h"
+#include "util/threading.h"
 #include "support/failing_source.h"
 #include "support/temp_dir.h"
 
@@ -181,6 +184,59 @@ TEST(FailureTest, ParisPipelineUnwindsOnByteBudgetExhaustion) {
       std::make_unique<FailingSource>(1000, 64, fail), build);
   ASSERT_FALSE(index.ok());
   EXPECT_EQ(index.status().code(), StatusCode::kIoError);
+}
+
+TEST(FailureTest, ParisRefineReturnsTheFirstReadError) {
+  // The device dies halfway through a query's refinement: the search
+  // returns the read error, inline and with racing workers, not an
+  // answer from the survivors it did read.
+  const size_t count = 1000;
+  const Dataset data = MakeData(count);
+  const Dataset queries =
+      GenerateQueries(DatasetKind::kRandomWalk, 1, 64, 314);
+  const SeriesView query = queries.series(0);
+  ParisBuildOptions build;
+  build.num_workers = 1;  // one tree shape, so the dry run's counts hold
+  build.plus_mode = true;
+  build.batch_series = 64;
+  build.tree.segments = 8;
+  build.tree.leaf_capacity = 16;
+  build.tree.series_length = 64;
+  const auto build_over = [&](uint64_t fail_at_byte_offset) {
+    FailingSourceOptions fail;
+    fail.fail_at_byte_offset = fail_at_byte_offset;
+    build.leaf_storage_path =
+        TempPath("refine_trip_" + std::to_string(fail_at_byte_offset) +
+                 ".leaves");
+    return ParisIndex::Build(
+        std::make_unique<FailingSource>(
+            std::make_unique<InMemorySource>(&data), fail),
+        build);
+  };
+
+  // Dry run: the reads the approximate probe and the refinement make.
+  auto healthy = build_over(std::numeric_limits<uint64_t>::max());
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  InlineExecutor inline_exec;
+  QueryStats probe, whole;
+  ASSERT_TRUE((*healthy)->SearchApproximate(query, &probe).ok());
+  ASSERT_TRUE((*healthy)->SearchExact(query, {}, &inline_exec, &whole).ok());
+  const uint64_t refined = whole.real_dist_calcs - probe.real_dist_calcs;
+  ASSERT_GE(refined, 4u);
+
+  // The build reads every series once, then the budget lets the probe
+  // and half the refinement through.
+  const uint64_t budget =
+      (count + probe.real_dist_calcs + refined / 2) * 64 * sizeof(Value);
+  ThreadPool pool(4);
+  for (Executor* exec : {static_cast<Executor*>(&inline_exec),
+                         static_cast<Executor*>(&pool)}) {
+    auto index = build_over(budget);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    auto got = (*index)->SearchExact(query, {}, exec);
+    ASSERT_FALSE(got.ok()) << "threads=" << exec->num_threads();
+    EXPECT_EQ(got.status().code(), StatusCode::kIoError);
+  }
 }
 
 TEST(FailureTest, FailedAppendLeavesServingSnapshotUnchanged) {

@@ -294,9 +294,11 @@ TEST(MessiTest, QueryStatsShowTreePruning) {
 TEST(MessiTest, MessiPrunesMoreRealDistancesThanParisFilter) {
   // The paper: "MESSI applies pruning when performing the lower bound
   // distance calculations ... As a side effect, MESSI also performs less
-  // real distance calculations than ParIS."  ParIS's refinement computes
-  // a real distance for every candidate surviving the flat filter; MESSI
-  // re-checks entries against the evolving BSF.
+  // real distance calculations than ParIS."  ParIS and the ADS+ (SIMS)
+  // baseline compared here bound every summary against the seed and
+  // refine only survivors whose bound is below the evolving BSF; MESSI
+  // also prunes whole subtrees, and entries, against that BSF during its
+  // lower-bound pass.
   const Dataset data = MakeData(6000);
   ThreadPool pool(2);
   auto messi = MessiIndex::Build(Mem(data), SmallBuild(2), &pool);

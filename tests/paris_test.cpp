@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -44,6 +46,20 @@ ParisBuildOptions SmallBuild(int workers, bool plus) {
   o.tree.leaf_capacity = 32;
   o.tree.series_length = 64;
   return o;
+}
+
+/// Rows [first, first + count) of `data` as their own collection.
+Dataset Rows(const Dataset& data, size_t first, size_t count) {
+  Dataset out(count, data.length());
+  for (size_t i = 0; i < count; ++i) {
+    const SeriesView src = data.series(first + i);
+    std::copy(src.begin(), src.end(), out.mutable_series(i).begin());
+  }
+  return out;
+}
+
+bool SameBits(float a, float b) {
+  return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
 }
 
 std::unique_ptr<InMemorySource> Mem(const Dataset& data) {
@@ -180,15 +196,14 @@ TEST(ParisTest, QueryMatchesBruteForceUnderManyWorkerCounts) {
     ThreadPool pool(workers);
     ParisQueryOptions qopts;
     for (size_t q = 0; q < queries.count(); ++q) {
-      const Neighbor oracle =
-          BruteForceNn(InMemorySource(&data), queries.series(q),
-                       KernelPolicy::kScalar);
+      const Neighbor oracle = BruteForceNn(
+          InMemorySource(&data), queries.series(q), qopts.kernel);
       QueryStats stats;
       auto got =
           (*index)->SearchExact(queries.series(q), qopts, &pool, &stats);
       ASSERT_TRUE(got.ok());
-      EXPECT_NEAR(got->distance_sq, oracle.distance_sq,
-                  1e-3f * std::max(1.0f, oracle.distance_sq))
+      EXPECT_EQ(got->id, oracle.id) << "workers=" << workers << " q=" << q;
+      EXPECT_TRUE(SameBits(got->distance_sq, oracle.distance_sq))
           << "workers=" << workers << " q=" << q;
       EXPECT_EQ(stats.lb_checks, data.count());
       EXPECT_GT(stats.candidates, 0u);
@@ -229,14 +244,6 @@ TEST(ParisTest, FilterAcrossBaseAndSegmentsMatchesReferenceBounds) {
   ASSERT_NE(total % 4, 0u);
   ASSERT_NE(total % 4096, 0u);
   const Dataset data = MakeData(total, kLen, 17);
-  const auto rows = [&](size_t first, size_t count) {
-    Dataset out(count, kLen);
-    for (size_t i = 0; i < count; ++i) {
-      const SeriesView src = data.series(first + i);
-      std::copy(src.begin(), src.end(), out.mutable_series(i).begin());
-    }
-    return out;
-  };
 
   EngineOptions options;
   options.algorithm = Algorithm::kParisPlus;
@@ -244,12 +251,13 @@ TEST(ParisTest, FilterAcrossBaseAndSegmentsMatchesReferenceBounds) {
   options.tree.segments = 8;
   options.tree.leaf_capacity = 32;
   options.background_compaction = false;
-  auto built = Engine::Build(SourceSpec::InMemory(rows(0, base)), options);
+  auto built =
+      Engine::Build(SourceSpec::InMemory(Rows(data, 0, base)), options);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   Engine& engine = **built;
   size_t first = base;
   for (const size_t count : appends) {
-    ASSERT_TRUE(engine.Append(rows(first, count)).ok());
+    ASSERT_TRUE(engine.Append(Rows(data, first, count)).ok());
     first += count;
   }
   ASSERT_EQ(engine.series_count(), total);
@@ -283,7 +291,7 @@ TEST(ParisTest, FilterAcrossBaseAndSegmentsMatchesReferenceBounds) {
         ++want_candidates;
       }
     }
-    const Neighbor oracle = BruteForceNn(source, query, KernelPolicy::kScalar);
+    const Neighbor oracle = BruteForceNn(source, query, options.kernel);
     for (Executor* exec : executors) {
       auto got = engine.Search(query, {}, exec);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -292,12 +300,221 @@ TEST(ParisTest, FilterAcrossBaseAndSegmentsMatchesReferenceBounds) {
       EXPECT_EQ(got->stats.candidates, want_candidates)
           << "q=" << q << " threads=" << exec->num_threads();
       EXPECT_EQ(got->neighbors[0].id, oracle.id) << "q=" << q;
-      EXPECT_NEAR(got->neighbors[0].distance_sq, oracle.distance_sq,
-                  1e-3f * std::max(1.0f, oracle.distance_sq))
+      EXPECT_TRUE(SameBits(got->neighbors[0].distance_sq, oracle.distance_sq))
           << "q=" << q;
     }
   }
 }
+
+// --- Refinement ---------------------------------------------------------
+
+// Where the served raw series live picks the refine order: ascending
+// bound over a pinned raw view (in memory, mmap) or one fetch per
+// candidate (a streamed file on an unmetered device); position order with
+// parallel fetches (a metered device with several channels), or through
+// one skip-sequential read stream (a metered one-channel device, which
+// prefers sequential access).
+enum class Residency { kMemory, kMmap, kStreamed, kMultiChannel, kSeekBound };
+
+std::string ResidencyName(Residency residency) {
+  switch (residency) {
+    case Residency::kMemory:
+      return "memory";
+    case Residency::kMmap:
+      return "mmap";
+    case Residency::kStreamed:
+      return "streamed";
+    case Residency::kMultiChannel:
+      return "multi_channel";
+    case Residency::kSeekBound:
+      return "seek_bound";
+  }
+  return "unknown";
+}
+
+/// Metered, but fast: 1 us seeks keep every query cheap.
+DiskProfile FastMetered(int channels) {
+  DiskProfile profile;
+  profile.name = channels > 1 ? "multi_channel" : "seek_bound";
+  profile.seq_read_mbps = 1e5;
+  profile.seek_latency_us = 1.0;
+  profile.channels = channels;
+  return profile;
+}
+
+/// A ParIS+ engine serving a base and three appended segments (no
+/// background compaction, so each stays its own run), over the rows of
+/// `data` in the given residency; the queries, and the SAX summaries of
+/// every row computed straight from the raw values.
+class RefineBranches : public ::testing::TestWithParam<Residency> {
+ protected:
+  static constexpr size_t kLen = 64;
+  static constexpr size_t kBase = 3001;
+
+  void SetUp() override {
+    const std::vector<size_t> appends = {411, 1203, 222};
+    size_t total = kBase;
+    for (const size_t a : appends) total += a;
+    data_ = MakeData(total, kLen, 23);
+    queries_ = GenerateQueries(DatasetKind::kRandomWalk, 24, kLen, 31);
+
+    options_.algorithm = Algorithm::kParisPlus;
+    options_.num_threads = 4;
+    options_.tree.segments = 8;
+    options_.tree.leaf_capacity = 32;
+    options_.background_compaction = false;
+    options_.query_profile = GetParam() == Residency::kSeekBound
+                                 ? FastMetered(1)
+                             : GetParam() == Residency::kMultiChannel
+                                 ? FastMetered(4)
+                                 : DiskProfile::Instant();
+    // Unique per test and parameter instance: parallel ctest processes
+    // must not rewrite a file another instance is reading.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    const std::string path = TempPath("paris_refine_" + name + ".psax");
+    const auto spec = [&] {
+      if (GetParam() == Residency::kMemory) {
+        return SourceSpec::InMemory(Rows(data_, 0, kBase));
+      }
+      EXPECT_TRUE(WriteDataset(Rows(data_, 0, kBase), path).ok());
+      return GetParam() == Residency::kMmap ? SourceSpec::Mmap(path)
+                                            : SourceSpec::File(path);
+    };
+    auto built = Engine::Build(spec(), options_);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    engine_ = std::move(*built);
+    size_t first = kBase;
+    for (const size_t count : appends) {
+      ASSERT_TRUE(engine_->Append(Rows(data_, first, count)).ok());
+      first += count;
+    }
+    const SegmentedIndex& index = *engine_->segmented_index();
+    ASSERT_EQ(index.series_count(), total);
+    ASSERT_EQ(index.serving()->segments.size(), appends.size());
+    const bool addressable = GetParam() == Residency::kMemory ||
+                             GetParam() == Residency::kMmap;
+    ASSERT_EQ(index.serving()->raw.base != nullptr, addressable);
+    ASSERT_EQ(index.source().PrefersSequentialAccess(),
+              GetParam() == Residency::kSeekBound);
+    ASSERT_EQ(index.source().MetersRandomReads(),
+              GetParam() == Residency::kSeekBound ||
+                  GetParam() == Residency::kMultiChannel);
+
+    sax_.resize(total);
+    float paa[kMaxSegments];
+    for (SeriesId i = 0; i < total; ++i) {
+      ComputePaa(data_.series(i), options_.tree.segments, paa);
+      SymbolsFromPaa(paa, options_.tree.segments, &sax_[i]);
+    }
+  }
+
+  /// Reference lower bounds of every row against `query`.
+  std::vector<float> Bounds(SeriesView query) const {
+    float paa[kMaxSegments];
+    ComputePaa(query, options_.tree.segments, paa);
+    std::vector<float> bounds(sax_.size());
+    for (SeriesId i = 0; i < sax_.size(); ++i) {
+      bounds[i] =
+          MinDistPaaToSymbolsSq(paa, sax_[i], options_.tree.segments, kLen);
+    }
+    return bounds;
+  }
+
+  Dataset data_;
+  Dataset queries_;
+  EngineOptions options_;
+  std::unique_ptr<Engine> engine_;
+  std::vector<SaxSymbols> sax_;
+};
+
+TEST_P(RefineBranches, ExactAgainstBruteForce) {
+  const InMemorySource source(&data_);
+  InlineExecutor inline_exec;
+  ThreadPool pool(4);
+  Executor* const executors[] = {&inline_exec, &pool};
+  for (size_t q = 0; q < queries_.count(); ++q) {
+    const SeriesView query = queries_.series(q);
+    const Neighbor oracle = BruteForceNn(source, query, options_.kernel);
+    for (Executor* exec : executors) {
+      auto got = engine_->Search(query, {}, exec);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->neighbors.size(), 1u);
+      EXPECT_EQ(got->neighbors[0].id, oracle.id)
+          << "q=" << q << " threads=" << exec->num_threads();
+      EXPECT_TRUE(SameBits(got->neighbors[0].distance_sq, oracle.distance_sq))
+          << "q=" << q << " threads=" << exec->num_threads();
+    }
+  }
+}
+
+// Run inline, refinement refines exactly what a walk by hand refines.
+// Where random reads are free the walk takes the seed's survivors in
+// ascending (bound, id) order and stops at the first bound that has
+// reached the BSF; on a metered device with several channels it takes
+// them in id order and skips each whose bound has reached the BSF. The
+// one-channel read stream reads a chunk before it computes the chunk's
+// distances, so its skips see an older BSF: it refines at most every
+// survivor and at least every one bounded below the answer.
+TEST_P(RefineBranches, RefinesWhatTheStopRuleAllows) {
+  InlineExecutor inline_exec;
+  size_t skipped_some = 0;
+  for (size_t q = 0; q < queries_.count(); ++q) {
+    const SeriesView query = queries_.series(q);
+    QueryStats probe;
+    auto seed = engine_->segmented_index()->SearchApproximate(query, &probe);
+    ASSERT_TRUE(seed.ok());
+    auto got = engine_->Search(query, {}, &inline_exec);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_GE(got->stats.real_dist_calcs, probe.real_dist_calcs);
+    const uint64_t refined =
+        got->stats.real_dist_calcs - probe.real_dist_calcs;
+
+    const std::vector<float> bounds = Bounds(query);
+    std::vector<std::pair<float, SeriesId>> survivors;
+    uint64_t below_answer = 0;
+    for (SeriesId i = 0; i < bounds.size(); ++i) {
+      if (bounds[i] < seed->distance_sq) survivors.emplace_back(bounds[i], i);
+      if (bounds[i] < got->neighbors[0].distance_sq) ++below_answer;
+    }
+    EXPECT_EQ(got->stats.candidates, survivors.size()) << "q=" << q;
+
+    if (GetParam() == Residency::kSeekBound) {
+      EXPECT_LE(refined, survivors.size()) << "q=" << q;
+      EXPECT_GE(refined, below_answer) << "q=" << q;
+      if (refined < survivors.size()) ++skipped_some;
+      continue;
+    }
+    // Pushed in id order; the free-read order is (bound, id).
+    const bool by_bound = GetParam() != Residency::kMultiChannel;
+    if (by_bound) std::sort(survivors.begin(), survivors.end());
+    float bsf = seed->distance_sq;
+    uint64_t walked = 0;
+    for (const auto& [bound, id] : survivors) {
+      if (bound >= bsf) {
+        if (by_bound) break;
+        continue;
+      }
+      ++walked;
+      bsf = std::min(bsf, SquaredEuclideanEarlyAbandon(
+                              query, data_.series(id), bsf, options_.kernel));
+    }
+    EXPECT_EQ(refined, walked) << "q=" << q;
+    if (refined < survivors.size()) ++skipped_some;
+  }
+  if (GetParam() == Residency::kSeekBound ||
+      GetParam() == Residency::kMultiChannel) {
+    EXPECT_GT(skipped_some, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Residencies, RefineBranches,
+    ::testing::Values(Residency::kMemory, Residency::kMmap,
+                      Residency::kStreamed, Residency::kMultiChannel,
+                      Residency::kSeekBound),
+    [](const auto& info) { return ResidencyName(info.param); });
 
 TEST(ParisTest, ApproximateSearchReturnsRealSeries) {
   const Dataset data = MakeData(2000);
