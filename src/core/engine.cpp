@@ -10,7 +10,6 @@
 
 #include "io/mmap_source.h"
 #include "persist/snapshot.h"
-#include "scan/ucr_scan.h"
 #include "serve/query_service.h"
 #include "util/timer.h"
 
@@ -18,14 +17,6 @@ namespace parisax {
 
 const char* AlgorithmName(Algorithm algorithm) {
   switch (algorithm) {
-    case Algorithm::kBruteForce:
-      return "brute";
-    case Algorithm::kUcrSerial:
-      return "ucr";
-    case Algorithm::kUcrParallel:
-      return "ucr-p";
-    case Algorithm::kAdsPlus:
-      return "ads+";
     case Algorithm::kParis:
       return "paris";
     case Algorithm::kParisPlus:
@@ -37,10 +28,6 @@ const char* AlgorithmName(Algorithm algorithm) {
 }
 
 Result<Algorithm> ParseAlgorithm(const std::string& name) {
-  if (name == "brute") return Algorithm::kBruteForce;
-  if (name == "ucr") return Algorithm::kUcrSerial;
-  if (name == "ucr-p") return Algorithm::kUcrParallel;
-  if (name == "ads+" || name == "ads") return Algorithm::kAdsPlus;
   if (name == "paris") return Algorithm::kParis;
   if (name == "paris+") return Algorithm::kParisPlus;
   if (name == "messi") return Algorithm::kMessi;
@@ -62,50 +49,14 @@ const char* SchedulingPolicyName(SchedulingPolicy policy) {
 const EngineCapabilities& AlgorithmCapabilities(Algorithm algorithm) {
   // The single source of truth for what each engine family supports.
   // Engine::capabilities() narrows it by source residency; CheckQuery,
-  // Save, Append and Build reject from it with typed kNotSupported
-  // errors. The scan engines support append trivially (no index to
-  // grow); ADS+ does not — its serial bulk-load is not re-runnable over
-  // a tail.
-  static constexpr EngineCapabilities kBruteForce{
-      .max_k = SIZE_MAX, .dtw = true, .dtw_knn = false,
-      .approximate = false, .snapshot = false, .streaming_build = false,
-      .append = true, .background_compaction = false};
-  static constexpr EngineCapabilities kUcrSerial{
-      .max_k = 1, .dtw = true, .dtw_knn = false,
-      .approximate = false, .snapshot = false, .streaming_build = true,
-      .append = true, .background_compaction = false};
-  static constexpr EngineCapabilities kUcrParallel{
-      .max_k = SIZE_MAX, .dtw = true, .dtw_knn = false,
-      .approximate = false, .snapshot = false, .streaming_build = false,
-      .append = true, .background_compaction = false};
-  static constexpr EngineCapabilities kAdsPlus{
-      .max_k = 1, .dtw = false, .dtw_knn = false,
-      .approximate = true, .snapshot = false, .streaming_build = true,
-      .append = false, .background_compaction = false};
+  // Append and Build reject from it with typed kNotSupported errors.
   static constexpr EngineCapabilities kParis{
-      .max_k = 1, .dtw = false, .dtw_knn = false,
-      .approximate = true, .snapshot = true, .streaming_build = true,
-      .append = true, .background_compaction = true};
+      .max_k = 1, .dtw = false, .streaming_build = true, .append = true,
+      .background_compaction = true};
   static constexpr EngineCapabilities kMessi{
-      .max_k = SIZE_MAX, .dtw = true, .dtw_knn = false,
-      .approximate = true, .snapshot = true, .streaming_build = false,
+      .max_k = SIZE_MAX, .dtw = true, .streaming_build = false,
       .append = true, .background_compaction = true};
-  switch (algorithm) {
-    case Algorithm::kBruteForce:
-      return kBruteForce;
-    case Algorithm::kUcrSerial:
-      return kUcrSerial;
-    case Algorithm::kUcrParallel:
-      return kUcrParallel;
-    case Algorithm::kAdsPlus:
-      return kAdsPlus;
-    case Algorithm::kParis:
-    case Algorithm::kParisPlus:
-      return kParis;
-    case Algorithm::kMessi:
-      return kMessi;
-  }
-  return kBruteForce;
+  return algorithm == Algorithm::kMessi ? kMessi : kParis;
 }
 
 namespace {
@@ -115,11 +66,6 @@ namespace {
 /// the generated docs) apply, so the two can never drift.
 EngineCapabilities NarrowBy(EngineCapabilities caps, bool addressable,
                             bool appendable) {
-  if (!addressable) {
-    // The streamed serial scan has no DTW path (on-disk DTW is not
-    // implemented), so a non-addressable source drops DTW.
-    caps.dtw = false;
-  }
   caps.append = caps.append && appendable;
   // Background folds run concurrently with queries, which is only safe
   // when appends themselves are gate-free: addressable sources whose
@@ -206,6 +152,12 @@ SourceSpec SourceSpec::Custom(std::unique_ptr<RawSeriesSource> source) {
 namespace {
 
 Status ValidateOptions(const EngineOptions& options) {
+  // The values are sparse (see Algorithm), so a value-initialized
+  // Algorithm{} is not one of them.
+  if (options.algorithm < Algorithm::kParis ||
+      options.algorithm > Algorithm::kMessi) {
+    return Status::InvalidArgument("unknown algorithm");
+  }
   if (options.num_threads < 1) {
     return Status::InvalidArgument("num_threads must be positive");
   }
@@ -269,15 +221,12 @@ Result<std::unique_ptr<Engine>> Engine::Build(SourceSpec spec,
       break;
     }
     case SourceSpec::Kind::kFile: {
-      // Index engines stream only while building (build_profile); the
-      // serial scan engine streams on every query (query_profile).
-      const DiskProfile stream_profile =
-          opts.algorithm == Algorithm::kUcrSerial ? opts.query_profile
-                                                  : opts.build_profile;
+      // Streamed only while building (build_profile); queries fetch
+      // series at random (query_profile).
       std::unique_ptr<FileSource> file;
       PARISAX_ASSIGN_OR_RETURN(
-          file,
-          FileSource::Open(spec.path_, opts.query_profile, stream_profile));
+          file, FileSource::Open(spec.path_, opts.query_profile,
+                                 opts.build_profile));
       source = std::move(file);
       break;
     }
@@ -300,7 +249,6 @@ Result<std::unique_ptr<Engine>> Engine::Build(SourceSpec spec,
 
   engine->addressable_source_ = addressable;
   engine->series_length_ = source->length();
-  engine->series_count_ = source->count();
   if (opts.tree.series_length == 0) {
     opts.tree.series_length = source->length();
   }
@@ -323,35 +271,6 @@ Result<std::unique_ptr<Engine>> Engine::Build(SourceSpec spec,
   WallTimer wall;
   std::ostringstream details;
   switch (opts.algorithm) {
-    case Algorithm::kBruteForce:
-    case Algorithm::kUcrSerial:
-    case Algorithm::kUcrParallel:
-      engine->source_ = std::move(source);
-      engine->query_source_ = engine->source_.get();
-      details << "scan engine, no index";
-      break;
-    case Algorithm::kAdsPlus: {
-      AdsBuildOptions build;
-      build.tree = opts.tree;
-      build.batch_series = opts.batch_series;
-      // Streamed builds got a default path above; an explicitly set one
-      // enables leaf materialization over any residency.
-      build.leaf_storage_path = opts.leaf_storage_path;
-      build.leaf_write_mbps = opts.leaf_write_mbps;
-      PARISAX_ASSIGN_OR_RETURN(engine->ads_,
-                               AdsIndex::Build(std::move(source), build));
-      engine->query_source_ = engine->ads_->raw_source();
-      const AdsBuildStats& bs = engine->ads_->build_stats();
-      engine->build_report_.tree = bs.tree;
-      if (addressable) {
-        details << "ads+ serial build, cpu=" << bs.cpu_seconds << "s";
-      } else {
-        details << "ads+ on-disk build, read=" << bs.read_seconds
-                << "s cpu=" << bs.cpu_seconds
-                << "s write=" << bs.write_seconds << "s";
-      }
-      break;
-    }
     case Algorithm::kParis:
     case Algorithm::kParisPlus: {
       ParisBuildOptions build;
@@ -360,8 +279,9 @@ Result<std::unique_ptr<Engine>> Engine::Build(SourceSpec spec,
       build.batch_series = opts.batch_series;
       build.batches_per_round = opts.batches_per_round;
       build.tree = opts.tree;
+      // Streamed builds got a default path above; an explicitly set one
+      // enables leaf materialization over any residency.
       build.leaf_storage_path = opts.leaf_storage_path;
-      build.leaf_write_mbps = opts.leaf_write_mbps;
       PARISAX_ASSIGN_OR_RETURN(engine->paris_,
                                ParisIndex::Build(std::move(source), build));
       engine->index_ = engine->paris_.get();
@@ -381,7 +301,6 @@ Result<std::unique_ptr<Engine>> Engine::Build(SourceSpec spec,
       MessiBuildOptions build;
       build.num_workers = opts.num_threads;
       build.chunk_series = opts.chunk_series;
-      build.locked_buffers = opts.locked_buffers;
       build.tree = opts.tree;
       PARISAX_ASSIGN_OR_RETURN(
           engine->messi_,
@@ -393,10 +312,7 @@ Result<std::unique_ptr<Engine>> Engine::Build(SourceSpec spec,
       break;
     }
   }
-  if (engine->index_ != nullptr) {
-    engine->query_source_ = &engine->index_->source();
-    engine->build_report_.tree = engine->index_->tree_stats();
-  }
+  engine->build_report_.tree = engine->index_->tree_stats();
   engine->build_report_.wall_seconds = wall.ElapsedSeconds();
   details << ", source=" << source_desc;
   engine->build_report_.details = details.str();
@@ -469,7 +385,6 @@ Result<std::unique_ptr<Engine>> Engine::OpenInternal(
       break;
     }
   }
-  engine->query_source_ = &engine->index_->source();
   engine->build_report_.tree = engine->index_->tree_stats();
   engine->build_report_.wall_seconds = wall.ElapsedSeconds();
   details << AlgorithmName(opts.algorithm)
@@ -501,11 +416,6 @@ Result<std::unique_ptr<Engine>> Engine::OpenInternal(
 }
 
 Status Engine::Save(const std::string& snapshot_path) {
-  if (!capabilities().snapshot) {
-    return Status::NotSupported(
-        std::string(AlgorithmName(options_.algorithm)) +
-        " does not support snapshots (capabilities().snapshot is false)");
-  }
   // append_mu_ freezes the serving snapshot (appends, compactor passes
   // and other saves all hold it); pool_mu_ covers the serialization
   // fan-out on the shared pool and guards the lineage. Queries keep
@@ -513,9 +423,6 @@ Status Engine::Save(const std::string& snapshot_path) {
   MutexLock append_lock(&append_mu_);
   MutexLock pool_lock(&pool_mu_);
 
-  if (index_ == nullptr) {
-    return Status::Internal("snapshot-capable engine has no index");
-  }
   const auto snap = index_->serving();
 
   // Appends since the last head, still coverable by segments (the
@@ -552,11 +459,6 @@ Status Engine::Save(const std::string& snapshot_path) {
 }
 
 Status Engine::Compact(const std::string& snapshot_path) {
-  if (!capabilities().snapshot) {
-    return Status::NotSupported(
-        std::string(AlgorithmName(options_.algorithm)) +
-        " does not support snapshots (capabilities().snapshot is false)");
-  }
   // Fold-all + full save *is* the compaction: the written file contains
   // every subtree, so the previous chain files are no longer needed to
   // restore this engine.
@@ -657,13 +559,13 @@ Status Engine::AdoptLineageHead(const std::string& snapshot_path) {
 EngineCapabilities Engine::capabilities() const {
   EngineCapabilities caps =
       NarrowBy(AlgorithmCapabilities(options_.algorithm),
-               addressable_source_, query_source_->appendable());
+               addressable_source_, index_->source().appendable());
   // An index whose leaves live in on-disk LeafStorage (a streamed build,
   // or an explicit leaf_storage_path) folds only synchronously in
   // Save/Compact: a fold reads every flushed chunk back and rebuilds the
   // base in memory, which a background pass would do unasked on the
   // first trigger.
-  if (index_ != nullptr && index_->leaf_storage() != nullptr) {
+  if (index_->leaf_storage() != nullptr) {
     caps.background_compaction = false;
   }
   return caps;
@@ -679,7 +581,7 @@ Status CheckRequestAgainstCapabilities(const EngineCapabilities& caps,
     return Status::InvalidArgument("query length does not match the data");
   }
   if (request.k == 0) return Status::InvalidArgument("k must be positive");
-  if (request.k > 1 && request.dtw && !caps.dtw_knn) {
+  if (request.k > 1 && request.dtw) {
     return Status::NotSupported(name + " does not support k > 1 under DTW");
   }
   if (request.k > caps.max_k) {
@@ -693,12 +595,6 @@ Status CheckRequestAgainstCapabilities(const EngineCapabilities& caps,
         " does not support DTW search over this source "
         "(capabilities().dtw is false)");
   }
-  if (request.approximate && !caps.approximate) {
-    return Status::NotSupported(
-        name +
-        " does not support approximate search (capabilities().approximate "
-        "is false)");
-  }
   return Status::OK();
 }
 
@@ -711,24 +607,11 @@ Status Engine::CheckQuery(SeriesView query,
                                          query, request);
 }
 
-bool Engine::UsesSharedPool(const SearchRequest& request) const {
-  if (request.approximate) return false;  // leaf probe, no fan-out
-  switch (options_.algorithm) {
-    case Algorithm::kUcrParallel:
-    case Algorithm::kParis:
-    case Algorithm::kParisPlus:
-    case Algorithm::kMessi:
-      return true;
-    default:
-      return false;
-  }
-}
-
 Result<SearchResponse> Engine::Search(SeriesView query,
                                       const SearchRequest& request) {
-  if (!UsesSharedPool(request)) {
-    return Search(query, request, pool_.get());
-  }
+  // Every exact path fans out over the shared pool, so it holds
+  // pool_mu_; the approximate leaf probe does not fan out.
+  if (request.approximate) return Search(query, request, pool_.get());
   MutexLock lock(&pool_mu_);
   return Search(query, request, pool_.get());
 }
@@ -738,87 +621,22 @@ Result<SearchResponse> Engine::Search(SeriesView query,
                                       Executor* exec) {
   // The in-place-mutation RW gate: any number of queries hold it
   // shared. Segment appends over addressable sources never take it
-  // (queries keep the snapshot they captured); only scan-engine and
-  // streamed-source appends and synchronous fold-alls take it
-  // exclusively, draining in-flight queries first. (Lock order:
-  // pool_mu_, when the caller holds it, is always acquired before
-  // this.)
+  // (queries keep the snapshot they captured); only streamed-source
+  // appends and synchronous fold-alls take it exclusively, draining
+  // in-flight queries first. (Lock order: pool_mu_, when the caller
+  // holds it, is always acquired before this.)
   ReaderLock gate(&index_gate_);
   PARISAX_RETURN_IF_ERROR(CheckQuery(query, request));
-  // Entry deadline check, covering every algorithm. The index engines
-  // additionally poll the token inside their hot loops (MESSI every 64
-  // node visits while traversing and per popped leaf while refining,
-  // ParIS per batch); the scan engines and ADS+ run to completion once
-  // admitted.
+  // Entry deadline check. The engines additionally poll the token
+  // inside their hot loops (MESSI every 64 node visits while traversing
+  // and per popped leaf while refining, ParIS per batch).
   if (Expired(request.cancel)) {
     return Status::DeadlineExceeded("query deadline expired before search");
   }
 
   SearchResponse response;
   WallTimer timer;
-  const Algorithm algo = options_.algorithm;
-  const RawSeriesSource& source = *query_source_;
-
-  switch (algo) {
-    case Algorithm::kBruteForce: {
-      if (request.dtw) {
-        response.neighbors.push_back(
-            BruteForceDtwNn(source, query, request.dtw_band));
-      } else if (request.k > 1) {
-        response.neighbors =
-            BruteForceKnn(source, query, request.k, options_.kernel);
-      } else {
-        response.neighbors.push_back(
-            BruteForceNn(source, query, options_.kernel));
-      }
-      break;
-    }
-    case Algorithm::kUcrSerial: {
-      ScanStats scan;
-      if (addressable_source_) {
-        response.neighbors.push_back(
-            request.dtw
-                ? DtwScanSerial(source, query, request.dtw_band, &scan)
-                : UcrScanSerial(source, query, &scan, options_.kernel));
-      } else {
-        Neighbor nn;
-        PARISAX_ASSIGN_OR_RETURN(
-            nn, UcrScanStream(source, query, options_.batch_series, &scan,
-                              options_.kernel));
-        response.neighbors.push_back(nn);
-      }
-      response.stats.real_dist_calcs = scan.distance_calcs;
-      break;
-    }
-    case Algorithm::kUcrParallel: {
-      ScanStats scan;
-      if (request.dtw) {
-        response.neighbors.push_back(DtwScanParallel(
-            source, query, request.dtw_band, exec, &scan));
-      } else if (request.k > 1) {
-        response.neighbors = UcrKnnParallel(source, query, request.k,
-                                            exec, &scan, options_.kernel);
-      } else {
-        response.neighbors.push_back(UcrScanParallel(
-            source, query, exec, &scan, options_.kernel));
-      }
-      response.stats.real_dist_calcs = scan.distance_calcs;
-      break;
-    }
-    case Algorithm::kAdsPlus: {
-      Neighbor nn;
-      if (request.approximate) {
-        PARISAX_ASSIGN_OR_RETURN(
-            nn, ads_->SearchApproximate(query, &response.stats));
-      } else {
-        AdsQueryOptions qopts;
-        qopts.kernel = options_.kernel;
-        PARISAX_ASSIGN_OR_RETURN(
-            nn, ads_->SearchExact(query, qopts, &response.stats));
-      }
-      response.neighbors.push_back(nn);
-      break;
-    }
+  switch (options_.algorithm) {
     case Algorithm::kParis:
     case Algorithm::kParisPlus: {
       Neighbor nn;
@@ -838,7 +656,6 @@ Result<SearchResponse> Engine::Search(SeriesView query,
     case Algorithm::kMessi: {
       MessiQueryOptions qopts;
       qopts.num_workers = exec->num_threads();
-      qopts.num_queues = options_.num_queues;
       qopts.kernel = options_.kernel;
       qopts.dtw_band = request.dtw_band;
       qopts.cancel = request.cancel;
@@ -896,35 +713,23 @@ Result<AppendReport> Engine::Append(const Value* values, size_t count) {
   MutexLock append_lock(&append_mu_);
 
   std::vector<uint32_t> touched;
-  if (index_ != nullptr && addressable_source_) {
-    // Index engines over addressable sources publish the new segment as
-    // an atomic snapshot swap — in-flight queries keep the snapshot they
+  if (addressable_source_) {
+    // Over an addressable source the new segment is published as an
+    // atomic snapshot swap — in-flight queries keep the snapshot they
     // captured, so nothing drains. The segment is small (one batch), so
     // building it inline beats contending for the shared query pool.
     InlineExecutor inline_exec;
     PARISAX_RETURN_IF_ERROR(
         index_->Append(values, count, &inline_exec, &touched));
   } else {
-    // Scan engines mutate the raw source queries scan in place, and
-    // streamed index engines share buffered readers with the refine
-    // path — both still need the exclusive side of the RW gate:
-    // in-flight queries drain, new ones wait. pool_mu_ first (lock
-    // order; Save must not run mid-append), then the gate.
+    // A streamed source reopens its device in place, under the reads
+    // of in-flight refines, so it still needs the exclusive side of the
+    // RW gate: in-flight queries drain, new ones wait. pool_mu_ first
+    // (lock order; Save must not run mid-append), then the gate.
     MutexLock pool_lock(&pool_mu_);
     WriterLock gate(&index_gate_);
-    if (index_ != nullptr) {
-      PARISAX_RETURN_IF_ERROR(
-          index_->Append(values, count, pool_.get(), &touched));
-    } else if (source_ != nullptr) {
-      // Scan engines have no index: growing the source is the whole
-      // ingest. The count is published before the gate opens, so no
-      // query can see the new rows while series_count() still omits
-      // them.
-      PARISAX_RETURN_IF_ERROR(source_->AppendSeries(values, count));
-      series_count_.fetch_add(count, std::memory_order_acq_rel);
-    } else {
-      return Status::Internal("ADS+ append slipped past the capability gate");
-    }
+    PARISAX_RETURN_IF_ERROR(
+        index_->Append(values, count, pool_.get(), &touched));
   }
 
   append_epoch_.fetch_add(1, std::memory_order_acq_rel);

@@ -1,16 +1,18 @@
 // parisax public facade.
 //
-// Engine wraps every similarity-search strategy in the repository --
-// brute force, the UCR Suite scans, ADS+, ParIS, ParIS+ and MESSI --
-// behind a single build/search API so applications (and the examples/)
-// can switch algorithms with one option.
+// Engine serves the paper's three indexes -- ParIS, ParIS+ and MESSI --
+// behind a single build/search/append/persist API, so applications (and
+// the examples/) can switch indexes with one option. The baselines the
+// paper compares them against (brute force, the UCR Suite scans and
+// ADS+) are not engines: the figure drivers and the tests call them
+// directly (scan/ucr_scan.h, index/ads_index.h).
 //
 // The data plane is described by a SourceSpec: where the raw series
 // live (adopted in memory, borrowed, memory-mapped, or streamed through
 // a simulated device). The engine *owns* the materialized source, so
 // there is no dataset-lifetime footgun unless the caller explicitly
-// borrows. What an engine can do (max k, DTW, approximate probes,
-// snapshots, streamed builds) is a queryable EngineCapabilities value
+// borrows. What an engine can do (max k, DTW, streamed builds,
+// appends, background compaction) is a queryable EngineCapabilities value
 // derived from one table -- every unsupported-request rejection comes
 // from it.
 //
@@ -36,7 +38,6 @@
 
 #include "core/types.h"
 #include "dist/euclidean.h"
-#include "index/ads_index.h"
 #include "index/query_stats.h"
 #include "index/raw_source.h"
 #include "index/segment.h"
@@ -56,15 +57,14 @@ namespace parisax {
 class QueryService;
 struct SubmitOptions;
 
-/// Similarity-search strategies available through Engine.
+/// The indexes Engine serves. The numbers are part of the snapshot
+/// format: Save writes the value into every snapshot header and Open
+/// maps it back to the label, so a value never changes and 0-3 (retired
+/// baselines) are never reused.
 enum class Algorithm {
-  kBruteForce,   ///< full scan, no early abandoning (correctness oracle)
-  kUcrSerial,    ///< UCR Suite: serial early-abandoning scan
-  kUcrParallel,  ///< UCR Suite-p: parallel scan, shared BSF
-  kAdsPlus,      ///< ADS+: serial iSAX index + SIMS exact search
-  kParis,        ///< ParIS: parallel index, stage-3 construction bursts
-  kParisPlus,    ///< ParIS+: ParIS with fully overlapped construction
-  kMessi,        ///< MESSI: in-memory parallel index, tree-based search
+  kParis = 4,      ///< ParIS: parallel index, stage-3 construction bursts
+  kParisPlus = 5,  ///< ParIS+: ParIS with fully overlapped construction
+  kMessi = 6,      ///< MESSI: in-memory parallel index, tree-based search
 };
 
 /// Short lowercase name ("messi", "paris+", ...).
@@ -94,20 +94,16 @@ const char* SchedulingPolicyName(SchedulingPolicy policy);
 
 /// What an engine can do: one static table per algorithm (see
 /// AlgorithmCapabilities), narrowed per instance by the source it was
-/// built over (Engine::capabilities). CheckQuery, Save and Build derive
+/// built over (Engine::capabilities). CheckQuery, Append and Build derive
 /// every typed kNotSupported rejection from this struct -- there are no
-/// per-call-site whitelists.
+/// per-call-site whitelists. Approximate search and snapshots have no
+/// field: every engine supports them.
 struct EngineCapabilities {
   /// Largest supported k for exact kNN searches (1: only 1-NN).
   size_t max_k = 1;
-  /// Exact search under banded DTW.
+  /// Exact 1-NN search under banded DTW (k > 1 under DTW is rejected
+  /// everywhere).
   bool dtw = false;
-  /// k > 1 under DTW (currently unimplemented everywhere).
-  bool dtw_knn = false;
-  /// Approximate (leaf-probe) search.
-  bool approximate = false;
-  /// Engine::Save / Engine::Open snapshot support.
-  bool snapshot = false;
   /// Can build from a streamed, non-addressable source (the paper's
   /// on-disk pipeline). Every algorithm builds over addressable
   /// (in-memory or mmap) sources.
@@ -169,19 +165,12 @@ struct EngineOptions {
   /// Leaf materialization file for streamed (on-disk) index builds;
   /// defaults to "<dataset path>.leaves".
   std::string leaf_storage_path;
-  /// Metered leaf-write throughput (<= 0: unmetered).
-  double leaf_write_mbps = 0.0;
   /// Raw-data-buffer capacity in series (streamed pipelines).
   size_t batch_series = 8192;
   /// ParIS "memory full" trigger, in batches.
   size_t batches_per_round = 4;
   /// MESSI Stage-1 chunk size in series.
   size_t chunk_series = 4096;
-  /// MESSI footnote-2 ablation: lock-per-buffer instead of per-thread
-  /// buffer parts.
-  bool locked_buffers = false;
-  /// MESSI shared priority queues (0: one per worker).
-  int num_queues = 0;
   /// Distance kernel selection (D4 ablation).
   KernelPolicy kernel = KernelPolicy::kAuto;
   /// Run the background compactor where
@@ -217,10 +206,9 @@ class SourceSpec {
   static SourceSpec Mmap(std::string path);
 
   /// Streams a dataset file through a simulated storage device (the
-  /// paper's on-disk pipelines). Sequential passes are metered with
-  /// EngineOptions::build_profile (query_profile for the scan engines,
-  /// which stream at query time); random query-time fetches with
-  /// EngineOptions::query_profile.
+  /// paper's on-disk pipelines). Sequential passes (the build) are
+  /// metered with EngineOptions::build_profile, random query-time
+  /// fetches with EngineOptions::query_profile.
   static SourceSpec File(std::string path);
 
   /// Adopts a caller-built source (custom residency).
@@ -245,19 +233,18 @@ class SourceSpec {
 struct SearchRequest {
   /// Number of nearest neighbors (bounded by capabilities().max_k).
   size_t k = 1;
-  /// Return the approximate answer (index engines only): the best match
-  /// within the query's approximate-match leaf.
+  /// Return the approximate answer: the best match within the query's
+  /// approximate-match leaf.
   bool approximate = false;
   /// Search under banded DTW instead of ED (capabilities().dtw).
   bool dtw = false;
   /// Sakoe-Chiba radius in points for DTW searches.
   size_t dtw_band = 12;
   /// Optional cancel/deadline token, owned by the caller and kept alive
-  /// for the whole search. The index engines poll it inside their hot
-  /// loops (MESSI every 64 tree-node visits and per refined leaf,
-  /// ParIS/ParIS+ per batch) and the search returns kDeadlineExceeded
-  /// instead of a partial answer; the scan engines and ADS+ only check
-  /// it on entry. Null: never expires.
+  /// for the whole search. Every engine checks it on entry and polls it
+  /// inside its hot loops (MESSI every 64 tree-node visits and per
+  /// refined leaf, ParIS/ParIS+ per batch); the search returns
+  /// kDeadlineExceeded instead of a partial answer. Null: never expires.
   const CancellationToken* cancel = nullptr;
 };
 
@@ -288,13 +275,12 @@ struct AppendReport {
   size_t appended = 0;
   /// Collection size after the call.
   size_t total_series = 0;
-  /// Root subtrees of the published delta segment(s); 0 for scan
-  /// engines, which have no tree.
+  /// Root subtrees of the published delta segment(s).
   size_t touched_subtrees = 0;
   double wall_seconds = 0.0;
 };
 
-/// Summary of an index build (empty tree stats for scan engines).
+/// Summary of an index build or snapshot restore.
 struct BuildReport {
   double wall_seconds = 0.0;
   TreeStats tree;
@@ -331,8 +317,8 @@ class Engine {
       const EngineOptions& options);
 
   /// Writes the engine's index to `snapshot_path` (atomically: a temp
-  /// file renamed into place). Requires capabilities().snapshot.
-  /// Thread-safe against concurrent Search and Append calls.
+  /// file renamed into place). Thread-safe against concurrent Search and
+  /// Append calls.
   ///
   /// After Append calls, a Save to a *new* path writes an append-only
   /// delta — one serialized segment covering exactly the series
@@ -360,13 +346,12 @@ class Engine {
   /// z-normalized like the rest of the collection) to the engine's
   /// owned source, builds an immutable delta segment over just the new
   /// ids, and publishes it to the serving snapshot in one atomic epoch
-  /// bump. Requires capabilities().append. Thread-safe — and for the
-  /// index engines over addressable sources, *non-blocking for
-  /// readers*: concurrent queries keep serving the snapshot they
-  /// captured at entry while the append builds off to the side; the
-  /// background compactor later folds segments into the base. Only
-  /// scan engines and streamed sources still drain queries on the RW
-  /// gate (their sources mutate in place).
+  /// bump. Requires capabilities().append. Thread-safe — and over
+  /// addressable sources *non-blocking for readers*: concurrent queries
+  /// keep serving the snapshot they captured at entry while the append
+  /// builds off to the side; the background compactor later folds
+  /// segments into the base. Only streamed sources still drain queries
+  /// on the RW gate (their device is reopened in place).
   ///
   /// Failure contract: a file-backed source grows *before* the segment
   /// is built, so (a) if Append returns an error after the source grew,
@@ -436,9 +421,9 @@ class Engine {
   QueryService* query_service();
 
   /// What this engine supports: the algorithm's table narrowed by the
-  /// source it was built over (e.g. DTW is unavailable when the source
-  /// is streamed). Every kNotSupported this engine returns is derived
-  /// from this value.
+  /// source it was built over (e.g. a borrowed collection cannot grow,
+  /// so append is unavailable). Every kNotSupported this engine returns
+  /// is derived from this value.
   EngineCapabilities capabilities() const;
 
   Algorithm algorithm() const { return options_.algorithm; }
@@ -451,30 +436,25 @@ class Engine {
   /// read them without concurrent appends).
   const BuildReport& build_report() const { return build_report_; }
 
-  /// The wrapped indexes (null when the algorithm does not use them).
-  const AdsIndex* ads_index() const { return ads_.get(); }
+  /// The wrapped index (null when the algorithm does not use it).
   const ParisIndex* paris_index() const { return paris_.get(); }
   const MessiIndex* messi_index() const { return messi_.get(); }
-  /// The segmented core under the MESSI or ParIS index (null for the
-  /// scan engines and ADS+): the serving snapshot, tree stats and
-  /// source, whichever of the two the engine wraps.
+  /// The segmented core under the MESSI or ParIS index (never null):
+  /// the serving snapshot, tree stats and source, whichever of the two
+  /// the engine wraps.
   const SegmentedIndex* segmented_index() const { return index_; }
 
   /// The raw series the engine answers queries against (owned by the
-  /// engine, directly or through its index).
-  const RawSeriesSource& source() const { return *query_source_; }
+  /// engine through its index).
+  const RawSeriesSource& source() const { return index_->source(); }
 
   /// Points per series in the indexed collection.
   size_t series_length() const { return series_length_; }
   /// Series in the indexed collection (serve-layer cost heuristics).
   /// Grows under Append; safe to read concurrently. Never below the
-  /// collection any answered query saw: MESSI and ParIS read the count
-  /// their serving dock stores with each publication, and scan-engine
-  /// appends publish it before releasing the writer gate.
-  size_t series_count() const {
-    return index_ != nullptr ? index_->series_count()
-                             : series_count_.load(std::memory_order_acquire);
-  }
+  /// collection any answered query saw: the serving dock stores the
+  /// count with each publication.
+  size_t series_count() const { return index_->series_count(); }
 
  private:
   explicit Engine(const EngineOptions& options);
@@ -503,10 +483,6 @@ class Engine {
   Status AdoptLineageHead(const std::string& snapshot_path)
       PARISAX_REQUIRES(pool_mu_);
 
-  /// True when this request's path fans out over the shared pool (and
-  /// must therefore hold pool_mu_ when run on it).
-  bool UsesSharedPool(const SearchRequest& request) const;
-
   /// Background compaction machinery. The thread is started at the end
   /// of Build/Open (never before the index exists) and stopped first
   /// thing in the destructor.
@@ -521,9 +497,6 @@ class Engine {
 
   EngineOptions options_;
   size_t series_length_ = 0;
-  /// Collection size for engines without a segmented index (scan
-  /// engines and ADS+); index_ carries its own in the serving snapshot.
-  std::atomic<size_t> series_count_{0};
   std::unique_ptr<ThreadPool> pool_;
   /// The writer mutex: Append, Save, Compact and compactor passes hold
   /// it for their whole critical section, so every serving-snapshot
@@ -540,10 +513,11 @@ class Engine {
   Mutex pool_mu_{"Engine::pool_mu_", LockRank::kEnginePool}
       PARISAX_ACQUIRED_BEFORE(index_gate_);
   /// The in-place-mutation RW gate: every query path holds it shared.
-  /// Only writers that mutate state queries read in place — scan-engine
-  /// and streamed-source appends, and synchronous fold-alls — take it
-  /// exclusively; segment appends publish immutable state and leave it
-  /// alone.
+  /// Only two writers take it exclusively: a streamed-source append
+  /// (FileSource::AppendSeries reopens the device a query may be reading
+  /// through) and the synchronous fold-all (it reads leaf storage and
+  /// the streamed source in place). Segment appends over addressable
+  /// sources publish immutable state and leave it alone.
   SharedMutex index_gate_{"Engine::index_gate_", LockRank::kIndexGate};
   std::atomic<uint64_t> append_epoch_{0};
   std::atomic<uint64_t> compaction_count_{0};
@@ -578,17 +552,13 @@ class Engine {
   /// over).
   Status compactor_error_ PARISAX_GUARDED_BY(compactor_mu_);
 
-  /// Scan engines own their source directly; index engines own it
-  /// through the index. query_source_ always points at the live one.
-  std::unique_ptr<RawSeriesSource> source_;
-  const RawSeriesSource* query_source_ = nullptr;
+  /// The index owns the source; this records its residency.
   bool addressable_source_ = true;
 
-  std::unique_ptr<AdsIndex> ads_;
   std::unique_ptr<ParisIndex> paris_;
   std::unique_ptr<MessiIndex> messi_;
-  /// paris_ or messi_ seen as their shared core (null otherwise): every
-  /// save, fold, append and compaction path goes through it; only
+  /// paris_ or messi_ seen as their shared core, set by Build and Open:
+  /// every save, fold, append and compaction path goes through it; only
   /// Build, Open and Search pick the concrete index.
   SegmentedIndex* index_ = nullptr;
 };

@@ -101,7 +101,7 @@ class RawSeriesSource {
   /// ContiguousData()/TryView pointers obtained before the call stay
   /// valid: MESSI and ParIS/ParIS+ publish an append over them as a
   /// segment while queries keep running. Engine still drains readers on
-  /// its gate while a scan engine or a streamed source appends.
+  /// its gate while a streamed source appends.
   virtual Status AppendSeries(const Value* values, size_t count);
 };
 

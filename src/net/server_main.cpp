@@ -32,7 +32,7 @@ void Usage(const char* argv0) {
       "                         (default 10000 when --data is absent)\n"
       "  --length N             series length for --synthetic (default 256)\n"
       "  --seed N               generator seed (default 42)\n"
-      "  --algorithm NAME       messi|paris|paris+|ads+|brute|ucr|ucr-p\n"
+      "  --algorithm NAME       messi|paris|paris+\n"
       "                         (default messi)\n"
       "  --build-threads N      engine threads for index construction and\n"
       "                         intra-query parallelism (default 4)\n"

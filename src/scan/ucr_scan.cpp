@@ -133,44 +133,6 @@ Neighbor UcrScanParallel(const RawSeriesSource& source, SeriesView query,
   return best.Take();
 }
 
-std::vector<Neighbor> UcrKnnParallel(const RawSeriesSource& source,
-                                     SeriesView query, size_t k,
-                                     Executor* exec, ScanStats* stats,
-                                     KernelPolicy kernel) {
-  WallTimer timer;
-  const ScanView view = ViewOf(source);
-  const RawDataView raw = view.raw;
-  KnnHeap heap(k);
-  std::atomic<uint64_t> abandoned{0};
-
-  constexpr size_t kGrain = 256;
-  WorkCounter counter(view.count);
-  exec->Run([&](int) {
-    uint64_t local_abandoned = 0;
-    size_t begin, end;
-    while (counter.NextBatch(kGrain, &begin, &end)) {
-      for (SeriesId i = begin; i < end; ++i) {
-        const float bound = heap.Bound();
-        const float d = SquaredEuclideanEarlyAbandon(query, raw.series(i),
-                                                     bound, kernel);
-        if (d < bound) {
-          heap.Update({i, d});
-        } else {
-          ++local_abandoned;
-        }
-      }
-    }
-    abandoned.fetch_add(local_abandoned, std::memory_order_relaxed);
-  });
-
-  if (stats != nullptr) {
-    stats->distance_calcs += view.count;
-    stats->abandoned += abandoned.load();
-    stats->seconds += timer.ElapsedSeconds();
-  }
-  return heap.Sorted();
-}
-
 Result<Neighbor> UcrScanStream(const RawSeriesSource& source,
                                SeriesView query, size_t batch_series,
                                ScanStats* stats, KernelPolicy kernel) {

@@ -57,16 +57,6 @@ Neighbor UcrScanParallel(const RawSeriesSource& source, SeriesView query,
                          Executor* exec, ScanStats* stats = nullptr,
                          KernelPolicy kernel = KernelPolicy::kAuto);
 
-/// Parallel exact k-NN scan: the BSF generalizes to the k-th best
-/// distance (see index/knn_heap.h). Ascending (distance, id). Requires an
-/// addressable source.
-std::vector<Neighbor> UcrKnnParallel(const RawSeriesSource& source,
-                                     SeriesView query, size_t k,
-                                     Executor* exec,
-                                     ScanStats* stats = nullptr,
-                                     KernelPolicy kernel =
-                                         KernelPolicy::kAuto);
-
 /// UCR Suite over a streamed collection: one sequential pass through
 /// source.OpenStream in `batch_series` chunks (serial; with a FileSource
 /// this is the paper's on-disk UCR baseline, paying the device model's

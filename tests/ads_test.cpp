@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "io/format.h"
 #include "io/generator.h"
@@ -171,6 +172,13 @@ TEST(AdsTest, ApproximateNeverBeatsExact) {
 }
 
 TEST(AdsTest, ExactMatchesOracleOnEveryDatasetKind) {
+  // The default shape, plus an extreme one of each kind: a 2-segment
+  // tree of 2-entry leaves, and a 16-segment tree whose leaves never
+  // split.
+  const struct {
+    int segments;
+    size_t leaf_capacity;
+  } shapes[] = {{8, 32}, {2, 2}, {16, 512}};
   for (const DatasetKind kind :
        {DatasetKind::kRandomWalk, DatasetKind::kSaldEeg,
         DatasetKind::kSeismicBurst}) {
@@ -180,18 +188,26 @@ TEST(AdsTest, ExactMatchesOracleOnEveryDatasetKind) {
     gen.length = 64;
     gen.seed = 62;
     const Dataset data = GenerateDataset(gen);
-    auto index = AdsIndex::Build(Mem(data), SmallBuild());
-    ASSERT_TRUE(index.ok());
     const Dataset queries = GenerateQueries(kind, 4, 64, 62);
-    for (size_t q = 0; q < queries.count(); ++q) {
-      const Neighbor oracle =
-          BruteForceNn(InMemorySource(&data), queries.series(q),
-                       KernelPolicy::kScalar);
-      auto nn = (*index)->SearchExact(queries.series(q));
-      ASSERT_TRUE(nn.ok());
-      EXPECT_NEAR(nn->distance_sq, oracle.distance_sq,
-                  1e-3f * std::max(1.0f, oracle.distance_sq))
-          << DatasetKindName(kind);
+    for (const auto& shape : shapes) {
+      AdsBuildOptions build = SmallBuild();
+      build.tree.segments = shape.segments;
+      build.tree.leaf_capacity = shape.leaf_capacity;
+      auto index = AdsIndex::Build(Mem(data), build);
+      ASSERT_TRUE(index.ok());
+      const std::string where = std::string(DatasetKindName(kind)) + " w" +
+                                std::to_string(shape.segments) + " cap" +
+                                std::to_string(shape.leaf_capacity);
+      for (size_t q = 0; q < queries.count(); ++q) {
+        const Neighbor oracle =
+            BruteForceNn(InMemorySource(&data), queries.series(q),
+                         KernelPolicy::kScalar);
+        auto nn = (*index)->SearchExact(queries.series(q));
+        ASSERT_TRUE(nn.ok()) << where;
+        EXPECT_NEAR(nn->distance_sq, oracle.distance_sq,
+                    1e-3f * std::max(1.0f, oracle.distance_sq))
+            << where;
+      }
     }
   }
 }

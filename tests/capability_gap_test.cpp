@@ -16,7 +16,6 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "storm/wire_client.h"
-#include "support/temp_dir.h"
 
 namespace parisax {
 namespace {
@@ -65,18 +64,13 @@ std::vector<GapProbe> GapProbes(const EngineCapabilities& caps) {
     r.dtw = true;
     probes.push_back({"dtw", r});
   }
-  if (!caps.dtw_knn && caps.dtw && caps.max_k >= 2) {
-    // Only reachable as a *distinct* gap where dtw and k=2 are each
-    // individually legal; elsewhere an earlier check owns the error.
+  if (caps.dtw && caps.max_k >= 2) {
+    // k > 1 under DTW is rejected everywhere; it is a *distinct* gap
+    // only where dtw and k=2 are each individually legal.
     SearchRequest r;
     r.dtw = true;
     r.k = 2;
     probes.push_back({"dtw-knn", r});
-  }
-  if (!caps.approximate) {
-    SearchRequest r;
-    r.approximate = true;
-    probes.push_back({"approximate", r});
   }
   return probes;
 }
@@ -112,15 +106,13 @@ void ExpectAppendGapTyped(Engine* engine) {
 
 TEST(CapabilityGapTest, EngineEveryFalseCellIsTyped) {
   for (const Algorithm algorithm :
-       {Algorithm::kBruteForce, Algorithm::kUcrSerial,
-        Algorithm::kUcrParallel, Algorithm::kAdsPlus, Algorithm::kParis,
-        Algorithm::kParisPlus, Algorithm::kMessi}) {
+       {Algorithm::kParis, Algorithm::kParisPlus, Algorithm::kMessi}) {
     auto engine =
         Engine::Build(SourceSpec::InMemory(MakeData()), BaseOptions(algorithm));
     ASSERT_TRUE(engine.ok())
         << AlgorithmName(algorithm) << ": " << engine.status().ToString();
     ExpectGapsTyped(engine->get());
-    ExpectAppendGapTyped(engine->get());  // covers the ADS+ append cell
+    ExpectAppendGapTyped(engine->get());
   }
 }
 
@@ -133,20 +125,6 @@ TEST(CapabilityGapTest, BorrowedSourceNarrowsAppendToTypedRejection) {
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   ASSERT_FALSE((*engine)->capabilities().append);
   ExpectAppendGapTyped(engine->get());
-}
-
-TEST(CapabilityGapTest, StreamedSourceNarrowsDtwToTypedRejection) {
-  // A streamed (non-addressable) source drops dtw even where the
-  // algorithm's own row supports it: the refine path cannot random-read
-  // raw series. ucr-s is the streaming-capable row with base dtw=true.
-  testsupport::ScopedTempDir dir("parisax_capgap");
-  const std::string path = dir.Path("streamed.psax");
-  ASSERT_TRUE(WriteDataset(MakeData(), path).ok());
-  auto engine = Engine::Build(SourceSpec::File(path),
-                              BaseOptions(Algorithm::kUcrSerial));
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ASSERT_FALSE((*engine)->capabilities().dtw);
-  ExpectGapsTyped(engine->get());
 }
 
 // --- the wire surface -------------------------------------------------------
@@ -192,23 +170,11 @@ TEST(CapabilityGapTest, WireRejectsMaxKAndDtwGapsTyped) {
   ExpectWireNotSupported((*server)->port(), FrameType::kDtw, dtw);
 }
 
-TEST(CapabilityGapTest, WireRejectsApproximateGapTyped) {
-  auto engine = Engine::Build(SourceSpec::InMemory(MakeData()),
-                              BaseOptions(Algorithm::kBruteForce));
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  auto server = Server::Start(engine->get(), {});
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-
-  QueryFrame approx;
-  approx.request_id = 23;
-  approx.approximate = true;
-  approx.values = ProbeValues();
-  ExpectWireNotSupported((*server)->port(), FrameType::kQuery, approx);
-}
-
 TEST(CapabilityGapTest, WireRejectsAppendGapTyped) {
-  auto engine = Engine::Build(SourceSpec::InMemory(MakeData()),
-                              BaseOptions(Algorithm::kAdsPlus));
+  // A borrowed collection cannot grow, so append is a false cell.
+  const Dataset data = MakeData();
+  auto engine = Engine::Build(SourceSpec::Borrowed(&data),
+                              BaseOptions(Algorithm::kMessi));
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   ASSERT_FALSE((*engine)->capabilities().append);
   auto server = Server::Start(engine->get(), {});
@@ -232,7 +198,7 @@ TEST(CapabilityGapTest, WireRejectsAppendGapTyped) {
 }
 
 TEST(CapabilityGapTest, WireCannotExpressDtwKnn) {
-  // The dtw_knn=false cell is unreachable over the wire by
+  // The k > 1 under DTW gap is unreachable over the wire by
   // construction: kDtw frames are served as 1-NN regardless of the
   // frame's k field, so a k>1 DTW request degrades to a legal query
   // instead of an error. Pin that mapping down so a protocol change

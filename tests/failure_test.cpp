@@ -58,7 +58,7 @@ TEST(FailureTest, EngineRejectsCorruptHeader) {
   f << "GARBAGEGARBAGEGARBAGEGARBAGE";
   f.close();
   EngineOptions options;
-  options.algorithm = Algorithm::kAdsPlus;
+  options.algorithm = Algorithm::kParisPlus;
   options.tree.segments = 8;
   auto engine = Engine::Build(SourceSpec::File(path), options);
   EXPECT_FALSE(engine.ok());
@@ -240,17 +240,18 @@ TEST(FailureTest, ParisRefineReturnsTheFirstReadError) {
 }
 
 TEST(FailureTest, FailedAppendLeavesServingSnapshotUnchanged) {
-  // Scan engines route Engine::Append straight to the raw source; an
-  // injected source failure must surface the Status without growing the
-  // serving count, and later queries must still succeed.
+  // A streamed ParIS+ engine grows its source before it indexes the new
+  // series; an injected source failure must surface the Status without
+  // growing the serving count, and later queries must still succeed.
   FailingSourceOptions fail;
   fail.appendable = true;
   fail.fail_after_appends = 1;
   EngineOptions options;
-  // ucr-s is the scan engine that accepts a streamed (non-addressable)
-  // custom source.
-  options.algorithm = Algorithm::kUcrSerial;
+  options.algorithm = Algorithm::kParisPlus;
   options.num_threads = 2;
+  options.tree.segments = 8;
+  // The source is streamed (non-addressable), so the leaves go on disk.
+  options.leaf_storage_path = TempPath("failed_append.leaves");
   auto engine = Engine::Build(
       SourceSpec::Custom(std::make_unique<FailingSource>(100, 64, fail)),
       options);
@@ -325,15 +326,6 @@ TEST(FailureTest, EngineSearchAfterFailedOptionsNeverCrashes) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(FailureTest, UcrDiskScanPropagatesOpenFailure) {
-  std::vector<float> query(64, 0.0f);
-  EngineOptions options;
-  options.algorithm = Algorithm::kUcrSerial;
-  auto engine = Engine::Build(
-      SourceSpec::File(TempPath("missing_ucr.psax")), options);
-  EXPECT_FALSE(engine.ok());
-}
-
 TEST(FailureTest, DeletedFileAfterOpenIsHandledAtQueryTime) {
   // Building ParIS+ keeps a FileSource fd open; deleting the file under
   // it is fine on POSIX (the fd stays valid). The engine must keep
@@ -361,8 +353,7 @@ TEST(FailureTest, DeletedFileAfterOpenIsHandledAtQueryTime) {
 TEST(FailureTest, ZeroLengthQuerySpanRejectedEverywhere) {
   const Dataset data = MakeData(100);
   for (const Algorithm algorithm :
-       {Algorithm::kBruteForce, Algorithm::kUcrParallel, Algorithm::kMessi,
-        Algorithm::kAdsPlus, Algorithm::kParisPlus}) {
+       {Algorithm::kMessi, Algorithm::kParis, Algorithm::kParisPlus}) {
     EngineOptions options;
     options.algorithm = algorithm;
     options.num_threads = 2;

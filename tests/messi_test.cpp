@@ -294,15 +294,21 @@ TEST(MessiTest, QueryStatsShowTreePruning) {
 TEST(MessiTest, MessiPrunesMoreRealDistancesThanParisFilter) {
   // The paper: "MESSI applies pruning when performing the lower bound
   // distance calculations ... As a side effect, MESSI also performs less
-  // real distance calculations than ParIS."  ParIS and the ADS+ (SIMS)
-  // baseline compared here bound every summary against the seed and
-  // refine only survivors whose bound is below the evolving BSF; MESSI
-  // also prunes whole subtrees, and entries, against that BSF during its
-  // lower-bound pass.
+  // real distance calculations than ParIS." This compares MESSI with
+  // serial ADS+ SIMS, which bounds every summary against the seed and
+  // computes a real distance for each survivor whose bound is still
+  // below the BSF when its turn comes; MESSI also prunes whole subtrees,
+  // and entries, against that BSF during its lower-bound pass. Both
+  // sides run on one thread (MESSI built by one worker and searched
+  // inline), so each count is the same in every run: a pool would let
+  // MESSI's count vary with its workers' timing.
   const Dataset data = MakeData(6000);
-  ThreadPool pool(2);
-  auto messi = MessiIndex::Build(Mem(data), SmallBuild(2), &pool);
+  ThreadPool build_pool(1);
+  auto messi = MessiIndex::Build(Mem(data), SmallBuild(1), &build_pool);
   ASSERT_TRUE(messi.ok());
+  InlineExecutor inline_exec;
+  MessiQueryOptions qopts;
+  qopts.num_workers = 1;
 
   AdsBuildOptions ads_options;
   ads_options.tree = SmallBuild(1).tree;
@@ -314,8 +320,9 @@ TEST(MessiTest, MessiPrunesMoreRealDistancesThanParisFilter) {
   uint64_t messi_real = 0, sims_real = 0;
   for (size_t q = 0; q < queries.count(); ++q) {
     QueryStats ms, as;
-    ASSERT_TRUE((*messi)->SearchExact(queries.series(q), {}, &pool, &ms)
-                    .ok());
+    ASSERT_TRUE(
+        (*messi)->SearchExact(queries.series(q), qopts, &inline_exec, &ms)
+            .ok());
     ASSERT_TRUE((*ads)->SearchExact(queries.series(q), {}, &as).ok());
     messi_real += ms.real_dist_calcs;
     sims_real += as.real_dist_calcs;

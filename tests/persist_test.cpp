@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -17,6 +18,7 @@
 #include "io/generator.h"
 #include "io/mmap_source.h"
 #include "persist/checksum.h"
+#include "scan/ucr_scan.h"
 #include "serve/query_service.h"
 #include "support/temp_dir.h"
 
@@ -142,37 +144,36 @@ TEST(SnapshotTest, MessiRoundtripAnswersIdenticallyEdKnnDtw) {
   ASSERT_NE((*restored)->messi_index(), nullptr);
   EXPECT_TRUE((*restored)->messi_index()->tree().CheckInvariants().ok());
 
-  auto oracle =
-      Engine::Build(SourceSpec::Borrowed(&data),
-                    BaseOptions(Algorithm::kBruteForce));
-  ASSERT_TRUE(oracle.ok());
-
+  const InMemorySource oracle(&data);
+  const KernelPolicy kernel = (*built)->options().kernel;
   const Dataset queries =
       GenerateQueries(DatasetKind::kRandomWalk, 6, data.length(), 31);
   for (SeriesId q = 0; q < queries.count(); ++q) {
     const SeriesView query = queries.series(q);
-    for (const SearchRequest& request :
-         {SearchRequest{}, SearchRequest{.k = 5},
-          SearchRequest{.dtw = true, .dtw_band = 6},
-          SearchRequest{.approximate = true}}) {
-      if (request.approximate) {
-        // Approximate search is index-only; compare built vs restored.
-        auto want = (*built)->Search(query, request);
-        auto got = (*restored)->Search(query, request);
-        ASSERT_TRUE(want.ok() && got.ok());
-        ExpectSameResponse(*want, *got, "messi approx");
-        continue;
-      }
+    // Exact requests, each with its brute-force answer.
+    const std::pair<SearchRequest, std::vector<Neighbor>> exact[] = {
+        {SearchRequest{}, {BruteForceNn(oracle, query, kernel)}},
+        {SearchRequest{.k = 5}, BruteForceKnn(oracle, query, 5, kernel)},
+        {SearchRequest{.dtw = true, .dtw_band = 6},
+         {BruteForceDtwNn(oracle, query, 6)}}};
+    for (const auto& [request, truth] : exact) {
       auto want = (*built)->Search(query, request);
       auto got = (*restored)->Search(query, request);
-      auto truth = (*oracle)->Search(query, request);
-      ASSERT_TRUE(want.ok() && got.ok() && truth.ok());
+      ASSERT_TRUE(want.ok() && got.ok());
       const std::string label = "messi q" + std::to_string(q) + " k" +
                                 std::to_string(request.k) +
                                 (request.dtw ? " dtw" : " ed");
       ExpectSameResponse(*want, *got, label);
-      ExpectSameResponse(*truth, *got, label + " (oracle)");
+      ExpectSameResponse(SearchResponse{.neighbors = truth}, *got,
+                         label + " (oracle)");
     }
+    // Approximate search is index-only; compare built vs restored.
+    SearchRequest approx;
+    approx.approximate = true;
+    auto want = (*built)->Search(query, approx);
+    auto got = (*restored)->Search(query, approx);
+    ASSERT_TRUE(want.ok() && got.ok());
+    ExpectSameResponse(*want, *got, "messi approx");
   }
   std::remove(data_path.c_str());
   std::remove(snap_path.c_str());
@@ -201,20 +202,19 @@ TEST(SnapshotTest, ParisRoundtripAnswersIdentically) {
     ASSERT_NE((*restored)->paris_index(), nullptr);
     EXPECT_TRUE((*restored)->paris_index()->tree().CheckInvariants().ok());
 
-    auto oracle =
-        Engine::Build(SourceSpec::Borrowed(&data),
-                    BaseOptions(Algorithm::kBruteForce));
-    ASSERT_TRUE(oracle.ok());
+    const InMemorySource oracle(&data);
     for (SeriesId q = 0; q < queries.count(); ++q) {
       const SeriesView query = queries.series(q);
       auto want = (*built)->Search(query);
       auto got = (*restored)->Search(query);
-      auto truth = (*oracle)->Search(query);
-      ASSERT_TRUE(want.ok() && got.ok() && truth.ok());
+      ASSERT_TRUE(want.ok() && got.ok());
       const std::string label =
           std::string(AlgorithmName(algorithm)) + " q" + std::to_string(q);
       ExpectSameResponse(*want, *got, label);
-      ExpectSameResponse(*truth, *got, label + " (oracle)");
+      ExpectSameResponse(
+          SearchResponse{.neighbors = {BruteForceNn(
+                             oracle, query, (*built)->options().kernel)}},
+          *got, label + " (oracle)");
 
       SearchRequest approx;
       approx.approximate = true;
@@ -294,26 +294,43 @@ TEST(SnapshotTest, RestoredEngineServesThroughQueryService) {
 TEST(SnapshotTest, ReadSnapshotInfoReportsShape) {
   const Dataset data = MakeData(600, 32);
   const std::string data_path = WriteDataFile(data, "info.psax");
-  const std::string snap_path = TempPath("info.snap");
-  auto built = Engine::Build(SourceSpec::Borrowed(&data),
-                             BaseOptions(Algorithm::kMessi));
-  ASSERT_TRUE(built.ok());
-  ASSERT_TRUE((*built)->Save(snap_path).ok());
+  // The header's algorithm byte is part of the format: existing
+  // snapshots carry these values, so they are pinned as literals.
+  const struct {
+    Algorithm algorithm;
+    uint8_t byte;
+    SnapshotKind kind;
+  } cases[] = {{Algorithm::kMessi, 6, SnapshotKind::kMessi},
+               {Algorithm::kParis, 4, SnapshotKind::kParis},
+               {Algorithm::kParisPlus, 5, SnapshotKind::kParis}};
+  for (const auto& c : cases) {
+    const std::string name = AlgorithmName(c.algorithm);
+    const std::string snap_path = TempPath("info_" + name + ".snap");
+    auto built = Engine::Build(SourceSpec::Borrowed(&data),
+                               BaseOptions(c.algorithm));
+    ASSERT_TRUE(built.ok()) << name;
+    ASSERT_TRUE((*built)->Save(snap_path).ok()) << name;
 
-  auto info = ReadSnapshotInfo(snap_path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->version, kSnapshotVersion);
-  EXPECT_EQ(info->kind, SnapshotKind::kMessi);
-  EXPECT_EQ(info->algorithm,
-            static_cast<uint8_t>(Algorithm::kMessi));
-  EXPECT_EQ(info->tree.segments, 8);
-  EXPECT_EQ(info->tree.leaf_capacity, 16u);
-  EXPECT_EQ(info->tree.series_length, data.length());
-  EXPECT_EQ(info->series_count, data.count());
-  EXPECT_EQ(info->total_entries, data.count());
-  EXPECT_GT(info->subtree_count, 0u);
+    auto info = ReadSnapshotInfo(snap_path);
+    ASSERT_TRUE(info.ok()) << name << ": " << info.status().ToString();
+    EXPECT_EQ(info->version, kSnapshotVersion);
+    EXPECT_EQ(info->kind, c.kind) << name;
+    EXPECT_EQ(info->algorithm, c.byte) << name;
+    EXPECT_EQ(info->tree.segments, 8);
+    EXPECT_EQ(info->tree.leaf_capacity, 16u);
+    EXPECT_EQ(info->tree.series_length, data.length());
+    EXPECT_EQ(info->series_count, data.count());
+    EXPECT_EQ(info->total_entries, data.count());
+    EXPECT_GT(info->subtree_count, 0u);
+
+    // The two-argument Open takes the label from that byte.
+    auto restored = Engine::Open(snap_path, data_path);
+    ASSERT_TRUE(restored.ok()) << name << ": "
+                               << restored.status().ToString();
+    EXPECT_EQ((*restored)->algorithm(), c.algorithm) << name;
+    std::remove(snap_path.c_str());
+  }
   std::remove(data_path.c_str());
-  std::remove(snap_path.c_str());
 }
 
 TEST(SnapshotTest, LoadRejectsKindMismatch) {

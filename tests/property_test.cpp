@@ -70,7 +70,6 @@ std::string ShapeName(const ::testing::TestParamInfo<ShapeCase>& info) {
   std::string algo = AlgorithmName(info.param.algorithm);
   for (char& ch : algo) {
     if (ch == '+') ch = 'P';
-    if (ch == '-') ch = '_';
   }
   return algo + "_w" + std::to_string(info.param.segments) + "_cap" +
          std::to_string(info.param.leaf_capacity);
@@ -90,9 +89,7 @@ INSTANTIATE_TEST_SUITE_P(
         ShapeCase{Algorithm::kParisPlus, 8, 8},
         ShapeCase{Algorithm::kParisPlus, 16, 64},
         ShapeCase{Algorithm::kParis, 4, 4},
-        ShapeCase{Algorithm::kParis, 16, 256},
-        ShapeCase{Algorithm::kAdsPlus, 2, 2},
-        ShapeCase{Algorithm::kAdsPlus, 16, 512}),
+        ShapeCase{Algorithm::kParis, 16, 256}),
     ShapeName);
 
 // --- kNN consistency ---------------------------------------------------------
@@ -139,14 +136,12 @@ TEST_P(KnnSweep, MatchesOracleAndNestedPrefixes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Ks, KnnSweep,
-    ::testing::Combine(::testing::Values(Algorithm::kMessi,
-                                         Algorithm::kUcrParallel),
+    ::testing::Combine(::testing::Values(Algorithm::kMessi),
                        ::testing::Values(1u, 2u, 8u, 31u, 100u)),
     [](const auto& info) {
       std::string algo = AlgorithmName(std::get<0>(info.param));
       for (char& ch : algo) {
         if (ch == '+') ch = 'P';
-        if (ch == '-') ch = '_';
       }
       return algo + "_k" + std::to_string(std::get<1>(info.param));
     });
@@ -265,8 +260,7 @@ TEST(CrossEngineProperty, AllEnginesAgreeOnPlantedNeighbors) {
   }
 
   for (const Algorithm algorithm :
-       {Algorithm::kUcrSerial, Algorithm::kUcrParallel, Algorithm::kAdsPlus,
-        Algorithm::kParis, Algorithm::kParisPlus, Algorithm::kMessi}) {
+       {Algorithm::kParis, Algorithm::kParisPlus, Algorithm::kMessi}) {
     EngineOptions options;
     options.algorithm = algorithm;
     options.num_threads = 3;

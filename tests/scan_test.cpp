@@ -17,8 +17,10 @@ namespace parisax {
 namespace {
 
 Dataset MakeData(size_t count = 2000, size_t length = 64,
-                 uint64_t seed = 51) {
+                 uint64_t seed = 51,
+                 DatasetKind kind = DatasetKind::kRandomWalk) {
   GeneratorOptions gen;
+  gen.kind = kind;
   gen.count = count;
   gen.length = length;
   gen.seed = seed;
@@ -64,38 +66,46 @@ TEST(BruteForceTest, KnnClampsToCollectionSize) {
       7u);
 }
 
+constexpr DatasetKind kAllKinds[] = {DatasetKind::kRandomWalk,
+                                     DatasetKind::kSaldEeg,
+                                     DatasetKind::kSeismicBurst};
+
 TEST(UcrScanTest, SerialMatchesBruteForceAndAbandons) {
-  const Dataset data = MakeData();
-  const Dataset queries =
-      GenerateQueries(DatasetKind::kRandomWalk, 6, 64, 51);
-  for (size_t q = 0; q < queries.count(); ++q) {
-    const SeriesView query = queries.series(q);
-    const Neighbor oracle =
-        BruteForceNn(InMemorySource(&data), query, KernelPolicy::kScalar);
-    ScanStats stats;
-    const Neighbor got = UcrScanSerial(InMemorySource(&data), query, &stats);
-    EXPECT_NEAR(got.distance_sq, oracle.distance_sq,
-                1e-3f * std::max(1.0f, oracle.distance_sq));
-    EXPECT_EQ(stats.distance_calcs, data.count());
-    // Early abandoning must fire on the vast majority of candidates.
-    EXPECT_GT(stats.abandoned, data.count() / 2);
+  for (const DatasetKind kind : kAllKinds) {
+    const Dataset data = MakeData(2000, 64, 51, kind);
+    const Dataset queries = GenerateQueries(kind, 6, 64, 51);
+    for (size_t q = 0; q < queries.count(); ++q) {
+      const SeriesView query = queries.series(q);
+      const Neighbor oracle =
+          BruteForceNn(InMemorySource(&data), query, KernelPolicy::kScalar);
+      ScanStats stats;
+      const Neighbor got =
+          UcrScanSerial(InMemorySource(&data), query, &stats);
+      EXPECT_NEAR(got.distance_sq, oracle.distance_sq,
+                  1e-3f * std::max(1.0f, oracle.distance_sq))
+          << DatasetKindName(kind);
+      EXPECT_EQ(stats.distance_calcs, data.count());
+      // Early abandoning must fire on the vast majority of candidates.
+      EXPECT_GT(stats.abandoned, data.count() / 2) << DatasetKindName(kind);
+    }
   }
 }
 
 TEST(UcrScanTest, ParallelMatchesSerialAcrossThreadCounts) {
-  const Dataset data = MakeData();
-  const Dataset queries =
-      GenerateQueries(DatasetKind::kRandomWalk, 4, 64, 51);
-  for (const int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    for (size_t q = 0; q < queries.count(); ++q) {
-      const SeriesView query = queries.series(q);
-      const Neighbor serial = UcrScanSerial(InMemorySource(&data), query);
-      const Neighbor parallel =
-          UcrScanParallel(InMemorySource(&data), query, &pool);
-      EXPECT_NEAR(parallel.distance_sq, serial.distance_sq,
-                  1e-3f * std::max(1.0f, serial.distance_sq))
-          << "threads=" << threads;
+  for (const DatasetKind kind : kAllKinds) {
+    const Dataset data = MakeData(2000, 64, 51, kind);
+    const Dataset queries = GenerateQueries(kind, 4, 64, 51);
+    for (const int threads : {1, 2, 4, 8}) {
+      ThreadPool pool(threads);
+      for (size_t q = 0; q < queries.count(); ++q) {
+        const SeriesView query = queries.series(q);
+        const Neighbor serial = UcrScanSerial(InMemorySource(&data), query);
+        const Neighbor parallel =
+            UcrScanParallel(InMemorySource(&data), query, &pool);
+        EXPECT_NEAR(parallel.distance_sq, serial.distance_sq,
+                    1e-3f * std::max(1.0f, serial.distance_sq))
+            << DatasetKindName(kind) << " threads=" << threads;
+      }
     }
   }
 }

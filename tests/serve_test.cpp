@@ -15,6 +15,7 @@
 #include "scan/ucr_scan.h"
 #include "serve/query_service.h"
 #include "support/latched_source.h"
+#include "support/temp_dir.h"
 #include "util/threading.h"
 
 namespace parisax {
@@ -123,15 +124,20 @@ TEST(QueryServiceTest, BatchMatchesOracleUnderEveryPolicy) {
 // the deques empty but one query in flight, so it must run inline
 // instead of queueing on the engine's pool. The latch opens only once
 // both queries are executing, so each decision sees a fixed state.
+// ParIS+ over the latched (streamed) source reads its approximate
+// leaf's series through GetSeries on the query's own thread, before
+// any fan-out, so each query parks exactly one reader.
 TEST(QueryServiceTest, AutoGoesParallelOnlyForALoneQuery) {
   const Dataset data = MakeData(300, 29);
   const Dataset queries = MakeQueries(2, 29);
   auto latched = std::make_unique<testsupport::LatchedSource>(
       std::make_unique<InMemorySource>(&data), /*readers=*/2);
   const testsupport::LatchedSource* latch = latched.get();
+  testsupport::ScopedTempDir dir("parisax_serve");
   EngineOptions options;
-  options.algorithm = Algorithm::kUcrSerial;
+  options.algorithm = Algorithm::kParisPlus;
   options.num_threads = 2;
+  options.leaf_storage_path = dir.Path("latched.leaves");
   auto engine = Engine::Build(SourceSpec::Custom(std::move(latched)), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
@@ -223,7 +229,7 @@ TEST(QueryServiceTest, MixedRequestStormMatchesOracle) {
   EXPECT_EQ(stats.completed, queries.count());
 }
 
-// Mixed engines: MESSI, ParIS+ and UCR-p services all answering storms
+// Mixed engines: MESSI, ParIS+ and ParIS services all answering storms
 // in the same process, sharing nothing but the CPU.
 TEST(QueryServiceTest, MixedEnginesServeConcurrently) {
   const Dataset data = MakeData(1200, 23);
@@ -232,7 +238,7 @@ TEST(QueryServiceTest, MixedEnginesServeConcurrently) {
   std::vector<std::unique_ptr<Engine>> engines;
   engines.push_back(BuildEngine(data, Algorithm::kMessi));
   engines.push_back(BuildEngine(data, Algorithm::kParisPlus));
-  engines.push_back(BuildEngine(data, Algorithm::kUcrParallel));
+  engines.push_back(BuildEngine(data, Algorithm::kParis));
   for (const auto& engine : engines) ASSERT_NE(engine, nullptr);
 
   std::vector<Neighbor> oracles;

@@ -62,20 +62,6 @@ StormOpKind DrawKind(Rng& rng, const std::vector<OpWeight>& weights) {
   return StormOpKind::kQueryNn;
 }
 
-Result<Algorithm> ParseBackendOverride(const std::string& name) {
-  auto algorithm = ParseAlgorithm(name);
-  if (!algorithm.ok()) return algorithm.status();
-  switch (*algorithm) {
-    case Algorithm::kMessi:
-    case Algorithm::kParis:
-    case Algorithm::kParisPlus:
-      return *algorithm;
-    default:
-      return Status::InvalidArgument(
-          "storm backends are messi, paris and paris+ (got " + name + ")");
-  }
-}
-
 Result<SourceResidency> ParseResidencyOverride(const std::string& name) {
   if (name == "in-memory") return SourceResidency::kOwnedMemory;
   if (name == "mmap") return SourceResidency::kMmap;
@@ -143,7 +129,7 @@ Result<StormPlan> MakeStormPlan(uint64_t seed, const std::string& profile,
 
   if (overrides.backend.has_value()) {
     PARISAX_ASSIGN_OR_RETURN(config.algorithm,
-                             ParseBackendOverride(*overrides.backend));
+                             ParseAlgorithm(*overrides.backend));
   } else {
     const uint64_t pick = cfg_rng.NextBelow(100);
     config.algorithm = pick < 50   ? Algorithm::kMessi

@@ -15,6 +15,7 @@
 
 #include "core/engine.h"
 #include "io/generator.h"
+#include "scan/ucr_scan.h"
 #include "storm/storm_plan.h"
 #include "storm/storm_runner.h"
 #include "storm/workload_model.h"
@@ -97,9 +98,10 @@ TEST(StormPlanTest, ContradictoryOverridesAreTypedErrors) {
 }
 
 TEST(WorkloadModelTest, OracleMatchesEngineBruteForce) {
-  // The model's ExactNn/ExactKnn and a brute-force Engine over the
-  // identical generated dataset must agree byte for byte — this is the
-  // exactness the storm checks lean on.
+  // The model's ExactNn/ExactKnn and the brute-force scans over the
+  // identical generated dataset, with the engine's default kernel, must
+  // agree byte for byte — this is the exactness the storm checks lean
+  // on.
   const uint64_t data_seed = 1234;
   constexpr size_t kCount = 120;
   constexpr size_t kLength = 64;
@@ -110,29 +112,19 @@ TEST(WorkloadModelTest, OracleMatchesEngineBruteForce) {
   gen.count = kCount;
   gen.length = kLength;
   gen.seed = data_seed;
-  EngineOptions options;
-  options.algorithm = Algorithm::kBruteForce;
-  options.num_threads = 2;
-  auto engine =
-      Engine::Build(SourceSpec::InMemory(GenerateDataset(gen)), options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Dataset data = GenerateDataset(gen);
+  const InMemorySource source(&data);
+  const KernelPolicy kernel = EngineOptions().kernel;
 
   const Dataset queries =
       GenerateQueries(DatasetKind::kRandomWalk, 4, kLength, 555);
   for (size_t q = 0; q < queries.count(); ++q) {
     const Neighbor want = model.ExactNn(queries.series(q), kCount);
-    auto got = (*engine)->Search(queries.series(q), {});
-    ASSERT_TRUE(got.ok());
-    ASSERT_EQ(got->neighbors.size(), 1u);
-    EXPECT_EQ(got->neighbors[0], want);
+    EXPECT_EQ(BruteForceNn(source, queries.series(q), kernel), want);
 
-    SearchRequest knn;
-    knn.k = 5;
     const std::vector<Neighbor> want_k =
         model.ExactKnn(queries.series(q), 5, kCount);
-    auto got_k = (*engine)->Search(queries.series(q), knn);
-    ASSERT_TRUE(got_k.ok());
-    EXPECT_EQ(got_k->neighbors, want_k);
+    EXPECT_EQ(BruteForceKnn(source, queries.series(q), 5, kernel), want_k);
   }
 }
 

@@ -1,11 +1,14 @@
 // A source whose reads park until a set number of readers arrive.
 //
 // LatchedSource serves a wrapped in-memory collection through virtual
-// per-series reads (ContiguousData() == nullptr, so scan engines stream
-// it), but the first read of each reader blocks until `readers` reads
-// are parked at once; from then on every read passes. A test can thus
-// hold queries inside the engine until exactly that many are executing,
-// with no sleeps: a scheduling decision made at query start (such as
+// per-series reads (ContiguousData() == nullptr, so an engine builds
+// over it as over a streamed file and fetches each series it refines
+// through GetSeries), but the first read of each reader blocks until
+// `readers` reads are parked at once; from then on every read passes.
+// Sequential passes (OpenStream, which a build uses) go straight to the
+// delegate and never touch the latch. A test can thus hold queries
+// inside the engine until exactly that many are executing, with no
+// sleeps: a scheduling decision made at query start (such as
 // QueryService's kAuto rule) is then taken with a known set of queries
 // in flight.
 #ifndef PARISAX_TESTS_SUPPORT_LATCHED_SOURCE_H_
@@ -40,6 +43,11 @@ class LatchedSource : public RawSeriesSource {
       }
     }
     return delegate_->GetSeries(id, out);
+  }
+
+  Result<std::unique_ptr<SeriesStream>> OpenStream(
+      size_t batch_series) const override {
+    return delegate_->OpenStream(batch_series);
   }
 
   /// Blocks until `n` readers have parked (or the latch opened).

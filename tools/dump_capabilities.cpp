@@ -18,10 +18,8 @@ using parisax::NarrowCapabilities;
 using parisax::SourceResidency;
 using parisax::SourceResidencyName;
 
-constexpr Algorithm kAlgorithms[] = {
-    Algorithm::kBruteForce, Algorithm::kUcrSerial, Algorithm::kUcrParallel,
-    Algorithm::kAdsPlus,    Algorithm::kParis,     Algorithm::kParisPlus,
-    Algorithm::kMessi};
+constexpr Algorithm kAlgorithms[] = {Algorithm::kParis, Algorithm::kParisPlus,
+                                     Algorithm::kMessi};
 
 constexpr SourceResidency kResidencies[] = {
     SourceResidency::kOwnedMemory, SourceResidency::kBorrowedMemory,
@@ -54,8 +52,8 @@ int main() {
       "`Engine::capabilities()` returns the algorithm's row of one static\n"
       "table (`AlgorithmCapabilities`), narrowed by the residency of the\n"
       "source the engine was built over (`NarrowCapabilities`). Every\n"
-      "`kNotSupported` the engine returns — query features, `Save`,\n"
-      "`Append`, build-residency mismatches — derives from this value,\n"
+      "`kNotSupported` the engine returns — query features, `Append`,\n"
+      "build-residency mismatches — derives from this value,\n"
       "and `tests/engine_test.cpp` sweeps the matrix against observed\n"
       "behavior.\n"
       "\n"
@@ -68,31 +66,26 @@ int main() {
       "non-addressable source); its capability cells are moot and shown\n"
       "as `—`.\n"
       "\n"
-      "| algorithm | residency | buildable | max k | dtw | dtw k-NN | "
-      "approximate | snapshot | streamed build | append | background "
-      "compaction |\n"
-      "|-----------|-----------|-----------|-------|-----|----------|"
-      "-------------|----------|----------------|--------|"
-      "-----------------------|\n");
+      "| algorithm | residency | buildable | max k | dtw | streamed build | "
+      "append | background compaction |\n"
+      "|-----------|-----------|-----------|-------|-----|----------------|"
+      "--------|-----------------------|\n");
 
   for (const Algorithm a : kAlgorithms) {
     for (const SourceResidency r : kResidencies) {
       // The same rule Engine::Build rejects with, so this column
       // cannot drift either.
       if (!CanBuildOver(a, r)) {
-        std::printf(
-            "| `%s` | %s | no | — | — | — | — | — | — | — | — |\n",
-            AlgorithmName(a), SourceResidencyName(r));
+        std::printf("| `%s` | %s | no | — | — | — | — | — |\n",
+                    AlgorithmName(a), SourceResidencyName(r));
         continue;
       }
       const EngineCapabilities caps = NarrowCapabilities(a, r);
-      std::printf(
-          "| `%s` | %s | yes | %s | %s | %s | %s | %s | %s | %s | %s |\n",
-          AlgorithmName(a), SourceResidencyName(r),
-          MaxK(caps.max_k).c_str(), YesNo(caps.dtw), YesNo(caps.dtw_knn),
-          YesNo(caps.approximate), YesNo(caps.snapshot),
-          YesNo(caps.streaming_build), YesNo(caps.append),
-          YesNo(caps.background_compaction));
+      std::printf("| `%s` | %s | yes | %s | %s | %s | %s | %s |\n",
+                  AlgorithmName(a), SourceResidencyName(r),
+                  MaxK(caps.max_k).c_str(), YesNo(caps.dtw),
+                  YesNo(caps.streaming_build), YesNo(caps.append),
+                  YesNo(caps.background_compaction));
     }
   }
 
@@ -100,17 +93,15 @@ int main() {
       "\n"
       "Notes:\n"
       "\n"
-      "- `max k`: largest exact-kNN `k` (∞ = unbounded); k > 1 under DTW\n"
-      "  is unimplemented everywhere (`dtw k-NN` is `no` in every row).\n"
-      "- `dtw` drops to `no` over streamed sources — there is no on-disk\n"
-      "  DTW scan.\n"
+      "- `max k`: largest exact-kNN `k` (∞ = unbounded). k > 1 under DTW\n"
+      "  is rejected with `kNotSupported` by every engine.\n"
+      "- `dtw`: exact 1-NN under banded DTW, MESSI only.\n"
+      "- Every engine answers approximate (leaf-probe) queries and\n"
+      "  supports `Engine::Save`/`Open`/`Compact`, including append-only\n"
+      "  delta chains (see [snapshot-format.md](snapshot-format.md)), so\n"
+      "  neither has a column.\n"
       "- `append` is `Engine::Append` incremental ingest; it drops to\n"
       "  `no` over borrowed collections, which the engine cannot grow.\n"
-      "  ADS+ reports `kNotSupported`: its serial bulk-load is not\n"
-      "  re-runnable over a tail.\n"
-      "- `snapshot` covers `Engine::Save`/`Open`/`Compact`, including\n"
-      "  append-only delta chains (see\n"
-      "  [snapshot-format.md](snapshot-format.md)).\n"
       "- `background compaction`: the engine may run the segment\n"
       "  compactor thread that folds appended delta segments into the\n"
       "  base index off the serving path (see\n"
