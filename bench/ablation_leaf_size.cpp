@@ -48,7 +48,6 @@ int Run(const BenchArgs& args) {
     }
 
     MessiQueryOptions qopts;
-    qopts.num_workers = workers;
     QueryStats stats;
     WallTimer timer;
     for (SeriesId q = 0; q < queries.count(); ++q) {

@@ -3,8 +3,8 @@
 //
 // Paper claims: "MESSI is 55x faster than UCR Suite[-p] and 6.4x faster
 // than ParIS [Synthetic]; 60x/8.4x on SALD; 80x/~11x on Seismic", driven
-// by tree pruning during lower-bound computation plus the priority
-// queues' ordering, which also cut real distance calculations.
+// by tree pruning during lower-bound computation plus refining leaves in
+// bound order, which also cuts real distance calculations.
 #include "bench_common.h"
 
 #include "messi/messi_index.h"
@@ -93,7 +93,6 @@ int Run(const BenchArgs& args) {
       return 1;
     }
     MessiQueryOptions messi_qopts;
-    messi_qopts.num_workers = workers;
     WallTimer messi_timer;
     for (SeriesId q = 0; q < queries.count(); ++q) {
       auto nn = (*messi)->SearchExact(queries.series(q), messi_qopts,

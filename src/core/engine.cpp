@@ -629,7 +629,7 @@ Result<SearchResponse> Engine::Search(SeriesView query,
   PARISAX_RETURN_IF_ERROR(CheckQuery(query, request));
   // Entry deadline check. The engines additionally poll the token
   // inside their hot loops (MESSI every 64 node visits while traversing
-  // and per popped leaf while refining, ParIS per batch).
+  // and per claimed leaf while refining, ParIS per batch).
   if (Expired(request.cancel)) {
     return Status::DeadlineExceeded("query deadline expired before search");
   }
@@ -655,7 +655,6 @@ Result<SearchResponse> Engine::Search(SeriesView query,
     }
     case Algorithm::kMessi: {
       MessiQueryOptions qopts;
-      qopts.num_workers = exec->num_threads();
       qopts.kernel = options_.kernel;
       qopts.dtw_band = request.dtw_band;
       qopts.cancel = request.cancel;

@@ -19,9 +19,13 @@ struct QueryStats {
   uint64_t real_dist_calcs = 0;
   /// Tree nodes visited (tree-based strategies).
   uint64_t nodes_visited = 0;
-  /// Leaves inspected or popped from priority queues.
+  /// Leaves whose entries were read: the approximate probe's leaf, and
+  /// each MESSI Stage-3b claim that was not skipped or stopped at the
+  /// BSF.
   uint64_t leaves_inspected = 0;
-  /// Priority queues abandoned because their minimum exceeded the BSF.
+  /// MESSI Stage-3b leaf runs a worker left at a head item whose bound
+  /// had reached the BSF (the name is kept from the paper's priority
+  /// queues; bench/suite reports it as messi.queue_abandons_per_query).
   uint64_t queue_abandons = 0;
 
   double total_seconds = 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <utility>
 
 #include "dist/dtw.h"
@@ -19,25 +18,6 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-struct QueueItem {
-  float lb = 0.0f;
-  Node* leaf = nullptr;
-};
-
-struct QueueItemGreater {
-  bool operator()(const QueueItem& a, const QueueItem& b) const {
-    return a.lb > b.lb;
-  }
-};
-
-/// One of the K shared minimum priority queues of Stage 3.
-struct SharedQueue {
-  Mutex mu{"SharedQueue::mu", LockRank::kQueryQueue};
-  std::priority_queue<QueueItem, std::vector<QueueItem>, QueueItemGreater> pq
-      PARISAX_GUARDED_BY(mu);
-  bool done PARISAX_GUARDED_BY(mu) = false;
-};
-
 /// Root subtrees a Stage-3a worker claims per Fetch&Inc: one shared
 /// increment per batch instead of per root (~18k roots at 300k series).
 constexpr size_t kRootBatch = 32;
@@ -51,6 +31,56 @@ constexpr uint32_t kNodesPerCancelPoll = 64;
 /// one default-capacity leaf. Oversized (unsplittable) leaves take
 /// several calls.
 constexpr size_t kEntryBlock = 128;
+
+/// Items at the front of each run that Stage 3a orders by bound. The
+/// rest of the run, its tail, stays in traversal order: on 50k seismic
+/// series (w = 16) a head of 256 refined as many real distances as a
+/// fully sorted run, without the sort's cost (docs/architecture.md,
+/// "Stage 3 work distribution").
+constexpr size_t kHeadItems = 256;
+
+/// How far ahead of the root being traversed (3a) and of the item being
+/// refined (3b) the next node or leaf entries are prefetched.
+constexpr size_t kRootPrefetch = 8;
+constexpr size_t kItemPrefetch = 4;
+
+/// One leaf that survived Stage 3a's seed bound. It carries the leaf's
+/// entries, so Stage 3b never dereferences the Node: a published tree is
+/// immutable and the query holds its snapshot, so the pointer stays
+/// valid.
+struct RunItem {
+  float lb = 0.0f;
+  /// Index in the run when 3a appended it: the head's tie-break, which
+  /// makes an inline search's order deterministic.
+  uint32_t position = 0;
+  const LeafEntry* entries = nullptr;
+  size_t count = 0;
+};
+
+bool RunItemLess(const RunItem& a, const RunItem& b) {
+  return a.lb < b.lb || (a.lb == b.lb && a.position < b.position);
+}
+
+/// One worker's Stage-3a survivors. Only its owner appends, so 3a takes
+/// no lock; in 3b every worker claims items from it by Fetch&Inc. Items
+/// [0, head) hold the run's smallest bounds in ascending order, so every
+/// item after a head item has a bound at least as large. Aligned so two
+/// runs' claim counters never share a cache line.
+struct alignas(64) LeafRun {
+  std::vector<RunItem> items;
+  size_t head = 0;
+  WorkCounter claims{0};
+
+  /// Orders the kHeadItems smallest bounds to the front and arms the
+  /// claim counter. Called by the run's owner once its traversal ends.
+  void OrderHead() {
+    head = std::min(kHeadItems, items.size());
+    std::nth_element(items.begin(), items.begin() + head, items.end(),
+                     RunItemLess);
+    std::sort(items.begin(), items.begin() + head, RunItemLess);
+    claims.Reset(items.size());
+  }
+};
 
 /// Root subtrees of one serving snapshot: the base's present roots
 /// followed by every segment's. Stage 3 treats them as one flat forest
@@ -68,33 +98,31 @@ std::vector<Node*> CollectRoots(const ServingState& snap) {
   return roots;
 }
 
-/// Tree traversal + priority-queue consumption shared by the ED-NN,
-/// ED-kNN and DTW-NN searches, over the merged root forest of one
-/// serving snapshot. `Policy` supplies the pruning bound, the
-/// node/entry lower bounds and the entry refinement:
-///   const MinDistTable* lbs;  // entry bounds, batched per popped leaf
+/// Stage 3 of the ED-NN, ED-kNN and DTW-NN searches over the merged
+/// root forest of one serving snapshot. `Policy` supplies the pruning
+/// bound, the node/entry lower bounds and the entry refinement:
+///   const MinDistTable* lbs;  // entry bounds, batched per claimed leaf
 ///   float Bound() const;
 ///   float NodeLb(const Node&) const;
 ///   void ProcessEntry(const LeafEntry&, float lb, QueryStats*, int worker);
 /// Everything mutable lives in the policy or on this stack frame, so any
-/// number of queued searches can run concurrently on different
-/// executors. Workers share nothing per node, leaf or entry but the
-/// policy's bound and the queue they push to or pop from: each counts
-/// into a QueryStats of its own and merges it into its slot once per
-/// stage; the slots are summed into `stats` (nullable) at the end, with
-/// Stage 3a's wall time as the filter phase and 3b's as the refine
-/// phase.
+/// number of searches can run concurrently on different executors.
+/// Workers share nothing per node, leaf or entry but the policy's bound
+/// and the runs' claim counters: each counts into a QueryStats of its
+/// own and merges it into its slot once per stage; the slots are summed
+/// into `stats` (nullable) at the end, with Stage 3a's wall time as the
+/// filter phase and 3b's as the refine phase.
 template <typename Policy>
-void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
-                     int num_queues, Executor* exec, QueryStats* stats,
-                     const CancellationToken* cancel = nullptr) {
-  std::vector<SharedQueue> queues(num_queues);
-  const int k_queues = static_cast<int>(queues.size());
-  std::vector<QueryStats> worker_stats(exec->num_threads());
+void RunStage3(const std::vector<Node*>& roots, Policy* policy,
+               Executor* exec, QueryStats* stats,
+               const CancellationToken* cancel = nullptr) {
+  const int num_runs = exec->num_threads();
+  std::vector<LeafRun> runs(num_runs);
+  std::vector<QueryStats> worker_stats(num_runs);
 
-  // Stage 3a: parallel traversal, leaves into queues (round-robin for
-  // load balance, as in the paper; worker i starts at queue i). Roots
-  // are claimed in batches. Workers poll the cancel token every
+  // Stage 3a: parallel traversal; each worker appends the leaves that
+  // survive the seed bound to its own run, then orders the run's head.
+  // Roots are claimed in batches. Workers poll the cancel token every
   // kNodesPerCancelPoll node visits and bail out; the caller turns an
   // expired token into kDeadlineExceeded instead of returning the
   // partial bound.
@@ -102,14 +130,17 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
   WallTimer filter_timer;
   exec->Run([&](int worker) {
     QueryStats local;
+    LeafRun& run = runs[worker];
     // The inner lambda's cancellation return still reaches the merge.
     [&] {
       std::vector<Node*> stack;
-      int next_queue = worker % k_queues;
       uint32_t visits = 0;
       size_t begin, end;
       while (root_counter.NextBatch(kRootBatch, &begin, &end)) {
         for (size_t r = begin; r < end; ++r) {
+          if (r + kRootPrefetch < roots.size()) {
+            __builtin_prefetch(roots[r + kRootPrefetch]);
+          }
           stack.push_back(roots[r]);
           while (!stack.empty()) {
             if (visits++ % kNodesPerCancelPoll == 0 && Expired(cancel)) {
@@ -121,11 +152,11 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
             const float lb = policy->NodeLb(*node);
             if (lb >= policy->Bound()) continue;  // prune the whole subtree
             if (node->IsLeaf()) {
-              if (node->entries().empty()) continue;
-              SharedQueue& q = queues[next_queue];
-              if (++next_queue == k_queues) next_queue = 0;
-              MutexLock lock(&q.mu);
-              q.pq.push(QueueItem{lb, node});
+              const std::vector<LeafEntry>& entries = node->entries();
+              if (entries.empty()) continue;
+              run.items.push_back(
+                  RunItem{lb, static_cast<uint32_t>(run.items.size()),
+                          entries.data(), entries.size()});
             } else {
               stack.push_back(node->child(0));
               stack.push_back(node->child(1));
@@ -134,58 +165,49 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
         }
       }
     }();
+    run.OrderHead();
     worker_stats[worker].MergeCounters(local);
   });
   const double filter_seconds = filter_timer.ElapsedSeconds();
 
-  // Stage 3b: workers consume the queues; a queue whose minimum exceeds
-  // the BSF is abandoned wholesale (everything below it is farther).
-  // The cancel token is polled once per popped leaf.
+  // Stage 3b: each worker claims items from its own run, then from the
+  // others'. A claimed head item whose bound has reached the BSF ends
+  // the worker's claims on that run: every item after it is bounded at
+  // least as high, and the BSF only falls. A tail item is unordered, so
+  // one at or above the BSF is skipped and claiming goes on. The cancel
+  // token is polled once per claimed leaf that is refined.
   WallTimer refine_timer;
   exec->Run([&](int worker) {
     QueryStats local;
     [&] {
       float entry_lbs[kEntryBlock];
-      const int start = worker % k_queues;
-      for (;;) {
-        bool all_done = true;
-        for (int offset = 0; offset < k_queues; ++offset) {
-          SharedQueue& q = queues[(start + offset) % k_queues];
-          for (;;) {
-            QueueItem item;
-            {
-              MutexLock lock(&q.mu);
-              if (q.done) break;
-              if (q.pq.empty()) {
-                q.done = true;
-                break;
-              }
-              item = q.pq.top();
-              if (item.lb >= policy->Bound()) {
-                q.done = true;
-                local.queue_abandons++;
-                break;
-              }
-              q.pq.pop();
+      for (int offset = 0; offset < num_runs; ++offset) {
+        LeafRun& run = runs[(worker + offset) % num_runs];
+        size_t j;
+        while (run.claims.NextItem(&j)) {
+          const RunItem& item = run.items[j];
+          if (item.lb >= policy->Bound()) {
+            if (j < run.head) {
+              local.queue_abandons++;
+              break;
             }
-            if (Expired(cancel)) return;
-            all_done = false;
-            local.leaves_inspected++;
-            const std::vector<LeafEntry>& entries = item.leaf->entries();
-            for (size_t begin = 0; begin < entries.size();
-                 begin += kEntryBlock) {
-              const size_t count =
-                  std::min(kEntryBlock, entries.size() - begin);
-              policy->lbs->ToSymbolsSq(&entries[begin].sax,
-                                       sizeof(LeafEntry), count, entry_lbs);
-              for (size_t i = 0; i < count; ++i) {
-                policy->ProcessEntry(entries[begin + i], entry_lbs[i],
-                                     &local, worker);
-              }
+            continue;
+          }
+          if (Expired(cancel)) return;
+          if (j + kItemPrefetch < run.items.size()) {
+            __builtin_prefetch(run.items[j + kItemPrefetch].entries);
+          }
+          local.leaves_inspected++;
+          for (size_t begin = 0; begin < item.count; begin += kEntryBlock) {
+            const size_t count = std::min(kEntryBlock, item.count - begin);
+            policy->lbs->ToSymbolsSq(&item.entries[begin].sax,
+                                     sizeof(LeafEntry), count, entry_lbs);
+            for (size_t i = 0; i < count; ++i) {
+              policy->ProcessEntry(item.entries[begin + i], entry_lbs[i],
+                                   &local, worker);
             }
           }
         }
-        if (all_done) return;
       }
     }();
     worker_stats[worker].MergeCounters(local);
@@ -408,10 +430,8 @@ Result<Neighbor> MessiIndex::SearchExact(SeriesView query,
   BestNeighbor result(seed);
   const MinDistTable lbs(paa, paa, w, n);
   EdNnPolicy policy{snap->raw, &lbs, options.kernel, query, &result};
-  const int num_queues =
-      options.num_queues > 0 ? options.num_queues : options.num_workers;
   const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, &policy, num_queues, exec, stats, options.cancel);
+  RunStage3(roots, &policy, exec, stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");
@@ -453,10 +473,8 @@ Result<std::vector<Neighbor>> MessiIndex::SearchKnn(
 
   const MinDistTable lbs(paa, paa, w, n);
   EdKnnPolicy policy{snap->raw, &lbs, options.kernel, query, &heap};
-  const int num_queues =
-      options.num_queues > 0 ? options.num_queues : options.num_workers;
   const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, &policy, num_queues, exec, stats, options.cancel);
+  RunStage3(roots, &policy, exec, stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");
@@ -515,10 +533,8 @@ Result<Neighbor> MessiIndex::SearchExactDtw(SeriesView query,
   const MinDistTable lbs(env_lower_paa, env_upper_paa, w, n);
   DtwNnPolicy policy{snap->raw,        &lbs,  &env_lower, &env_upper,
                      options.dtw_band, query, &result,    &scratches};
-  const int num_queues =
-      options.num_queues > 0 ? options.num_queues : options.num_workers;
   const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, &policy, num_queues, exec, stats, options.cancel);
+  RunStage3(roots, &policy, exec, stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");

@@ -9,17 +9,24 @@
 // and build the corresponding root subtrees independently.
 //
 // Query answering (Stage 3): seed the BSF from the approximate-match
-// leaf; workers traverse root subtrees pruning with mindist against the
-// BSF and push surviving leaves into K shared priority queues; workers
-// then pop queues, abandoning a queue as soon as its minimum exceeds the
-// BSF, computing per-entry lower bounds and early-abandoning real
-// distances for what survives. Every node and entry bound is a lookup
-// in one per-query MinDistTable (sax/mindist.h). Workers contend only
-// on the queues and the BSF: roots are claimed in batches of 32 by
-// Fetch&Inc, worker i deals its leaves round-robin starting at queue i,
-// and each worker counts its work privately and merges the counts once
-// per stage. QueryStats reports the traversal (3a) as the filter phase
-// and the queue draining with refinement (3b) as the refine phase.
+// leaf. In Stage 3a workers traverse root subtrees, pruning with mindist
+// against the BSF, and each appends every surviving leaf (its bound and
+// entries) to a run of its own, with no lock; it then orders only the
+// 256 smallest bounds of its run, the head. In Stage 3b workers claim
+// items by Fetch&Inc, first from their own run and then from the
+// others'. A worker leaves a run at the first head item whose bound has
+// reached the BSF and skips a tail item whose bound has; every other
+// claimed leaf gets per-entry lower bounds and early-abandoning real
+// distances. Every node and entry bound is a lookup in one per-query
+// MinDistTable (sax/mindist.h). Workers contend only on the runs' claim
+// counters and the BSF: roots are claimed in batches of 32 by
+// Fetch&Inc, and each worker counts its work privately and merges the
+// counts once per stage. QueryStats reports the traversal (3a) as the
+// filter phase and the claims with refinement (3b) as the refine phase.
+// Unlike the paper, no shared priority queues hold the leaves: at w = 16
+// leaves hold one or two series, and a locked push and pop per leaf cost
+// more than the distances (docs/architecture.md, "Stage 3 work
+// distribution").
 //
 // Incremental ingest (beyond the paper): the index serves an immutable
 // snapshot — the bulk-built base tree plus an ordered list of delta
@@ -70,14 +77,11 @@ struct MessiBuildStats {
 };
 
 struct MessiQueryOptions {
-  int num_workers = 4;
-  /// Shared priority queues; 0 means one per worker (design choice D2).
-  int num_queues = 0;
   KernelPolicy kernel = KernelPolicy::kAuto;
   /// Sakoe-Chiba band radius (points) for DTW searches.
   size_t dtw_band = 12;
   /// Cancel/deadline token polled in Stage 3: every 64 node visits of
-  /// the traversal and once per leaf popped from a queue. An expired
+  /// the traversal and once per claimed leaf that is refined. An expired
   /// search returns kDeadlineExceeded instead of a partial answer. The
   /// caller keeps the token alive; null never expires.
   const CancellationToken* cancel = nullptr;
@@ -101,8 +105,9 @@ class MessiIndex : public SegmentedIndex {
 
   // Query paths take an Executor rather than owning threads: pass a
   // ThreadPool to fan one query out over every core (the paper's Stage
-  // 3), or an InlineExecutor to confine it to the calling thread so many
-  // queries can run concurrently (the serve layer's throughput mode).
+  // 3, one leaf run per pool thread), or an InlineExecutor to confine it
+  // to the calling thread so many queries can run concurrently (the
+  // serve layer's throughput mode).
   // All per-query state is local to the call (including the serving
   // snapshot it captures at entry), so any number of searches may run
   // at once as long as each executor supports it.

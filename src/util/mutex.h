@@ -106,7 +106,6 @@ enum class LockRank : int {
   kBuildBufferSet = 140,  ///< RecBufSet::touched_mu_ (touched-key list)
   kLeafNode = 150,        ///< Node::leaf_mutex_ (ParIS+ flush vs drain)
   kLeafStorage = 160,     ///< LeafStorage::mu_ (leaf chunk file)
-  kQueryQueue = 170,      ///< MESSI SharedQueue::mu (stage-3 queues)
   kResultMerge = 180,     ///< KnnHeap::mu_ / BestNeighbor::mu
   // --- leaves (nothing is ever acquired under these) ---
   kFirstError = 190,  ///< first-error latches (builders, ParIS refine)

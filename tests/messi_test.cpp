@@ -1,19 +1,26 @@
 // Tests for MESSI: build equivalence across worker counts and buffer
-// strategies (footnote-2 ablation), query correctness under varied queue
-// counts, Stage-3 counts under parallel workers, pruning statistics, and
-// the iSAX buffer set.
+// strategies (footnote-2 ablation), query correctness inline and on pools
+// of several sizes, Stage-3 counts under parallel workers, the leaves and
+// real distances the leaf runs refine, pruning statistics, and the iSAX
+// buffer set.
 #include "messi/messi_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dist/dtw.h"
 #include "index/ads_index.h"
 #include "io/generator.h"
 #include "messi/isax_buffers.h"
+#include "sax/mindist.h"
+#include "sax/paa.h"
 #include "scan/ucr_scan.h"
 
 namespace parisax {
@@ -41,6 +48,26 @@ MessiBuildOptions SmallBuild(int workers, bool locked = false) {
   o.tree.leaf_capacity = 32;
   o.tree.series_length = 64;
   return o;
+}
+
+bool SameBits(float a, float b) {
+  return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
+}
+
+/// The executors Stage 3 is checked on: inline (one leaf run) and pools
+/// whose thread counts divide the roots and survivors unevenly.
+std::vector<std::unique_ptr<Executor>> Executors() {
+  std::vector<std::unique_ptr<Executor>> execs;
+  execs.push_back(std::make_unique<InlineExecutor>());
+  for (const int threads : {2, 3, 4, 7}) {
+    execs.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  return execs;
+}
+
+std::string ExecName(const Executor& exec) {
+  return exec.num_threads() == 1 ? std::string("inline")
+                                 : "pool" + std::to_string(exec.num_threads());
 }
 
 std::vector<SeriesId> AllIndexedIds(const SaxTree& tree) {
@@ -105,27 +132,24 @@ TEST(MessiTest, BuildStatsCoverBothStages) {
             stats.summarize_wall_seconds + stats.tree_wall_seconds - 1e-3);
 }
 
-TEST(MessiTest, ExactSearchMatchesBruteForceAcrossQueueCounts) {
+TEST(MessiTest, ExactSearchMatchesBruteForceAcrossExecutors) {
   const Dataset data = MakeData(3000);
-  ThreadPool pool(4);
-  auto index = MessiIndex::Build(Mem(data), SmallBuild(4), &pool);
+  ThreadPool build_pool(4);
+  auto index = MessiIndex::Build(Mem(data), SmallBuild(4), &build_pool);
   ASSERT_TRUE(index.ok());
   const Dataset queries =
       GenerateQueries(DatasetKind::kRandomWalk, 5, 64, 21);
+  const MessiQueryOptions qopts;
 
-  for (const int queues : {1, 2, 4, 9}) {
-    MessiQueryOptions qopts;
-    qopts.num_workers = 4;
-    qopts.num_queues = queues;
+  for (const auto& exec : Executors()) {
     for (size_t q = 0; q < queries.count(); ++q) {
-      const Neighbor oracle =
-          BruteForceNn(InMemorySource(&data), queries.series(q),
-                       KernelPolicy::kScalar);
-      auto got = (*index)->SearchExact(queries.series(q), qopts, &pool);
+      const Neighbor oracle = BruteForceNn(
+          InMemorySource(&data), queries.series(q), qopts.kernel);
+      auto got = (*index)->SearchExact(queries.series(q), qopts, exec.get());
       ASSERT_TRUE(got.ok());
-      EXPECT_NEAR(got->distance_sq, oracle.distance_sq,
-                  1e-3f * std::max(1.0f, oracle.distance_sq))
-          << "queues=" << queues << " q=" << q;
+      EXPECT_EQ(got->id, oracle.id) << ExecName(*exec) << " q=" << q;
+      EXPECT_TRUE(SameBits(got->distance_sq, oracle.distance_sq))
+          << ExecName(*exec) << " q=" << q;
     }
   }
 }
@@ -144,14 +168,14 @@ void ExpectSameNeighbors(const std::vector<Neighbor>& want,
 TEST(MessiTest, ParallelStage3LosesNoCounts) {
   // Stage 3a prunes against the seed bound, which does not change until
   // 3b starts, so the nodes it visits do not depend on how many workers
-  // share the traversal. A 4-worker pool must therefore report exactly
-  // the inline search's nodes_visited: the per-worker counts merge
-  // without loss, also on the 24-series collection, whose few roots fit
-  // one claim batch and leave three workers with nothing to traverse.
-  // Every exact search also times both stages: 3a as the filter phase,
-  // 3b as the refine phase.
-  ThreadPool pool(4);
-  InlineExecutor inline_exec;
+  // share the traversal. Every pool must therefore report exactly the
+  // inline search's nodes_visited: the per-worker counts merge without
+  // loss, also on the 24-series collection, whose few roots fit one
+  // claim batch, so one worker's run holds every survivor and the others
+  // only claim from it. Every exact search also times both stages: 3a as
+  // the filter phase, 3b as the refine phase.
+  ThreadPool build_pool(4);
+  const auto execs = Executors();
   const auto expect_phases_timed = [](const QueryStats& stats,
                                       const std::string& where) {
     EXPECT_GT(stats.filter_phase_seconds, 0.0) << where;
@@ -159,57 +183,54 @@ TEST(MessiTest, ParallelStage3LosesNoCounts) {
   };
   for (const size_t count : {size_t{3000}, size_t{24}}) {
     const Dataset data = MakeData(count);
-    auto index = MessiIndex::Build(Mem(data), SmallBuild(4), &pool);
+    auto index = MessiIndex::Build(Mem(data), SmallBuild(4), &build_pool);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     const InMemorySource source(&data);
     const Dataset queries =
         GenerateQueries(DatasetKind::kRandomWalk, 3, 64, 21);
+    const MessiQueryOptions qopts;
     for (size_t q = 0; q < queries.count(); ++q) {
       const SeriesView query = queries.series(q);
-      for (const int queues : {1, 3, 4, 7}) {
-        MessiQueryOptions qopts;
-        qopts.num_workers = 4;
-        qopts.num_queues = queues;
+      const Neighbor nn = BruteForceNn(source, query);
+      const std::vector<Neighbor> knn = BruteForceKnn(source, query, 10);
+      const Neighbor dtw = BruteForceDtwNn(source, query, qopts.dtw_band);
+      QueryStats nn_inline, knn_inline, dtw_inline;
+      for (const auto& exec : execs) {
         const std::string where = "count=" + std::to_string(count) +
-                                  " q=" + std::to_string(q) +
-                                  " queues=" + std::to_string(queues);
+                                  " q=" + std::to_string(q) + " " +
+                                  ExecName(*exec);
+        // The inline executor comes first and fills the reference counts.
+        const bool is_inline = exec->num_threads() == 1;
 
-        QueryStats nn_inline, nn_pool;
-        auto nn_a = (*index)->SearchExact(query, qopts, &inline_exec,
-                                          &nn_inline);
-        auto nn_b = (*index)->SearchExact(query, qopts, &pool, &nn_pool);
-        ASSERT_TRUE(nn_a.ok() && nn_b.ok()) << where;
-        const Neighbor nn = BruteForceNn(source, query);
-        ExpectSameNeighbors({nn}, {*nn_a}, where + " ed-nn inline");
-        ExpectSameNeighbors({nn}, {*nn_b}, where + " ed-nn pool");
-        EXPECT_GT(nn_inline.nodes_visited, 0u) << where;
-        EXPECT_EQ(nn_inline.nodes_visited, nn_pool.nodes_visited) << where;
-        expect_phases_timed(nn_inline, where + " ed-nn inline");
-        expect_phases_timed(nn_pool, where + " ed-nn pool");
+        QueryStats nn_stats;
+        auto nn_got =
+            (*index)->SearchExact(query, qopts, exec.get(), &nn_stats);
+        ASSERT_TRUE(nn_got.ok()) << where;
+        ExpectSameNeighbors({nn}, {*nn_got}, where + " ed-nn");
+        if (is_inline) nn_inline = nn_stats;
+        EXPECT_GT(nn_stats.nodes_visited, 0u) << where;
+        EXPECT_EQ(nn_stats.nodes_visited, nn_inline.nodes_visited) << where;
+        expect_phases_timed(nn_stats, where + " ed-nn");
 
-        QueryStats knn_inline, knn_pool;
-        auto knn_a = (*index)->SearchKnn(query, 10, qopts, &inline_exec,
-                                         &knn_inline);
-        auto knn_b = (*index)->SearchKnn(query, 10, qopts, &pool, &knn_pool);
-        ASSERT_TRUE(knn_a.ok() && knn_b.ok()) << where;
-        const std::vector<Neighbor> knn = BruteForceKnn(source, query, 10);
-        ExpectSameNeighbors(knn, *knn_a, where + " ed-knn inline");
-        ExpectSameNeighbors(knn, *knn_b, where + " ed-knn pool");
-        EXPECT_EQ(knn_inline.nodes_visited, knn_pool.nodes_visited) << where;
-        expect_phases_timed(knn_inline, where + " ed-knn inline");
-        expect_phases_timed(knn_pool, where + " ed-knn pool");
+        QueryStats knn_stats;
+        auto knn_got =
+            (*index)->SearchKnn(query, 10, qopts, exec.get(), &knn_stats);
+        ASSERT_TRUE(knn_got.ok()) << where;
+        ExpectSameNeighbors(knn, *knn_got, where + " ed-knn");
+        if (is_inline) knn_inline = knn_stats;
+        EXPECT_EQ(knn_stats.nodes_visited, knn_inline.nodes_visited)
+            << where;
+        expect_phases_timed(knn_stats, where + " ed-knn");
 
-        QueryStats dtw_inline, dtw_pool;
-        auto dtw_a = (*index)->SearchExactDtw(query, qopts, &inline_exec,
-                                              &dtw_inline);
-        auto dtw_b = (*index)->SearchExactDtw(query, qopts, &pool, &dtw_pool);
-        ASSERT_TRUE(dtw_a.ok() && dtw_b.ok()) << where;
-        const Neighbor dtw = BruteForceDtwNn(source, query, qopts.dtw_band);
-        ExpectSameNeighbors({dtw}, {*dtw_a}, where + " dtw inline");
-        ExpectSameNeighbors({dtw}, {*dtw_b}, where + " dtw pool");
-        EXPECT_EQ(dtw_inline.nodes_visited, dtw_pool.nodes_visited) << where;
-        expect_phases_timed(dtw_inline, where + " dtw inline");
-        expect_phases_timed(dtw_pool, where + " dtw pool");
+        QueryStats dtw_stats;
+        auto dtw_got =
+            (*index)->SearchExactDtw(query, qopts, exec.get(), &dtw_stats);
+        ASSERT_TRUE(dtw_got.ok()) << where;
+        ExpectSameNeighbors({dtw}, {*dtw_got}, where + " dtw");
+        if (is_inline) dtw_inline = dtw_stats;
+        EXPECT_EQ(dtw_stats.nodes_visited, dtw_inline.nodes_visited)
+            << where;
+        expect_phases_timed(dtw_stats, where + " dtw");
       }
     }
   }
@@ -240,7 +261,6 @@ TEST_P(SeismicDtwSweep, MessiAndScansMatchBruteForce) {
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   const InMemorySource source(&data);
   MessiQueryOptions qopts;
-  qopts.num_workers = 4;
   qopts.dtw_band = band;
   uint64_t refined = 0;
   for (size_t q = 0; q < queries.count(); ++q) {
@@ -268,6 +288,162 @@ TEST_P(SeismicDtwSweep, MessiAndScansMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Bands, SeismicDtwSweep,
                          ::testing::Values(0u, 4u, 12u, 25u));
+
+// Bounds on what Stage 3b refines for one query, counted over every leaf
+// of the tree with the search's own bound table. A leaf or entry bounded
+// below the final answer is refined in any claim order, as the BSF never
+// falls below the answer; a leaf bounded at or above the seed never
+// leaves Stage 3a.
+struct RefineBracket {
+  uint64_t leaves_below_answer = 0;
+  uint64_t survivors = 0;
+  uint64_t entries_below_answer = 0;
+};
+
+RefineBracket CountBracket(const SaxTree& tree, const MinDistTable& lbs,
+                           float answer, float seed) {
+  RefineBracket b;
+  tree.VisitLeaves(nullptr, [&](Node* leaf) {
+    if (leaf->entries().empty()) return;
+    const float lb = lbs.ToWordSq(leaf->word());
+    b.survivors += lb < seed;
+    b.leaves_below_answer += lb < answer;
+    for (const LeafEntry& e : leaf->entries()) {
+      b.entries_below_answer += lbs.ToSymbolsSq(e.sax) < answer;
+    }
+  });
+  return b;
+}
+
+TEST(MessiTest, LeafRunsRefineBetweenAnswerAndSeedBounds) {
+  // Inline, one leaf run holds every Stage-3a survivor, its smallest
+  // bounds ordered at the head. At w = 16 the leaves hold a series or
+  // two, so the order decides how fast the BSF falls: refinement must
+  // cover every leaf bounded below the answer, stay within the
+  // survivors, stop short of them on some query, and on seismic data
+  // compute real distances within a small factor of the entries bounded
+  // below the answer (an unordered head computed about 7 times more on
+  // bench/suite's seismic collection).
+  constexpr size_t kCount = 20000, kLength = 128, kQueries = 8, kK = 10;
+  // Calibrated on this fixture: the seismic ED queries refine at most
+  // 1.29 real distances per entry bounded below the answer (9 for 7).
+  constexpr double kRealPerEntryBelow = 1.5;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  InlineExecutor inline_exec;
+  ThreadPool build_pool(4);
+  const MessiQueryOptions qopts;
+  const char* const kSearches[] = {"ed-nn", "ed-knn", "dtw"};
+  // Queries per search whose refinement stopped short of the survivors.
+  int stopped_short[3] = {};
+  for (const DatasetKind kind :
+       {DatasetKind::kRandomWalk, DatasetKind::kSeismicBurst}) {
+    const bool seismic = kind == DatasetKind::kSeismicBurst;
+    GeneratorOptions gen;
+    gen.kind = kind;
+    gen.count = kCount;
+    gen.length = kLength;
+    gen.seed = 71;
+    const Dataset data = GenerateDataset(gen);
+    // Seismic queries are perturbed members, as in bench/suite's
+    // snap_hard; random-walk queries are fresh draws.
+    const Dataset queries =
+        seismic ? GeneratePerturbedQueries(kind, kQueries, kLength,
+                                           gen.seed, kCount)
+                : GenerateQueries(kind, kQueries, kLength, gen.seed);
+    MessiBuildOptions build;
+    build.tree.series_length = kLength;
+    auto index = MessiIndex::Build(Mem(data), build, &build_pool);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    const SaxTree& tree = (*index)->tree();
+    const int w = build.tree.segments;
+
+    const auto check = [&](int search, const QueryStats& stats,
+                           const MinDistTable& lbs, float answer,
+                           float seed, uint64_t probe_leaves,
+                           uint64_t seed_dists, size_t q) {
+      const std::string where = std::string(DatasetKindName(kind)) + " " +
+                                kSearches[search] +
+                                " q=" + std::to_string(q);
+      const RefineBracket b = CountBracket(tree, lbs, answer, seed);
+      const uint64_t refined = stats.leaves_inspected - probe_leaves;
+      EXPECT_GE(refined, b.leaves_below_answer) << where;
+      EXPECT_LE(refined, b.survivors) << where;
+      if (refined < b.survivors) stopped_short[search]++;
+      // LB_Keogh, not the entry bound, decides which DTW candidates
+      // reach the real distance.
+      if (search == 2) return;
+      const uint64_t refined_dists = stats.real_dist_calcs - seed_dists;
+      EXPECT_GE(refined_dists, b.entries_below_answer) << where;
+      if (seismic) {
+        EXPECT_LE(static_cast<double>(refined_dists),
+                  kRealPerEntryBelow * b.entries_below_answer)
+            << where << " entries below the answer "
+            << b.entries_below_answer;
+      }
+    };
+
+    for (size_t q = 0; q < queries.count(); ++q) {
+      const SeriesView query = queries.series(q);
+      float paa[kMaxSegments];
+      ComputePaa(query, w, paa);
+      SaxSymbols sax;
+      SymbolsFromPaa(paa, w, &sax);
+      const MinDistTable ed_lbs(paa, paa, w, kLength);
+      const Node* approx_leaf = tree.ApproximateLeaf(sax, paa);
+      ASSERT_NE(approx_leaf, nullptr);
+
+      QueryStats nn_stats;
+      auto nn = (*index)->SearchExact(query, qopts, &inline_exec, &nn_stats);
+      auto approx = (*index)->SearchApproximate(query);
+      ASSERT_TRUE(nn.ok() && approx.ok());
+      // The seeds computed a real distance for every entry of the
+      // approximate leaf; the ED 1-NN probe also counts the leaf.
+      const uint64_t seed_dists = approx_leaf->entries().size();
+      check(0, nn_stats, ed_lbs, nn->distance_sq, approx->distance_sq,
+            /*probe_leaves=*/1, seed_dists, q);
+
+      // The k-NN seed is the k-th distance in the approximate leaf, or
+      // +inf when the leaf holds fewer than k series.
+      std::vector<float> leaf_dists;
+      for (const LeafEntry& e : approx_leaf->entries()) {
+        leaf_dists.push_back(
+            SquaredEuclidean(query, data.series(e.id), qopts.kernel));
+      }
+      std::sort(leaf_dists.begin(), leaf_dists.end());
+      const float knn_seed =
+          leaf_dists.size() >= kK ? leaf_dists[kK - 1] : kInf;
+      QueryStats knn_stats;
+      auto knn =
+          (*index)->SearchKnn(query, kK, qopts, &inline_exec, &knn_stats);
+      ASSERT_TRUE(knn.ok());
+      check(1, knn_stats, ed_lbs, knn->back().distance_sq, knn_seed, 0,
+            seed_dists, q);
+
+      std::vector<Value> env_lower, env_upper;
+      ComputeEnvelope(query, qopts.dtw_band, &env_lower, &env_upper);
+      float lower_paa[kMaxSegments], upper_paa[kMaxSegments];
+      ComputeEnvelopePaaMinMax(env_lower, env_upper, w, lower_paa,
+                               upper_paa);
+      const MinDistTable dtw_lbs(lower_paa, upper_paa, w, kLength);
+      float dtw_seed = kInf;
+      for (const LeafEntry& e : approx_leaf->entries()) {
+        dtw_seed = std::min(dtw_seed, DtwBand(query, data.series(e.id),
+                                              qopts.dtw_band, kInf));
+      }
+      QueryStats dtw_stats;
+      auto dtw =
+          (*index)->SearchExactDtw(query, qopts, &inline_exec, &dtw_stats);
+      ASSERT_TRUE(dtw.ok());
+      check(2, dtw_stats, dtw_lbs, dtw->distance_sq, dtw_seed, 0,
+            seed_dists, q);
+    }
+  }
+  // On seismic data the 10-NN and DTW answers lie above nearly every
+  // leaf bound, so only random walks can show those searches stopping.
+  for (int search = 0; search < 3; ++search) {
+    EXPECT_GT(stopped_short[search], 0) << kSearches[search];
+  }
+}
 
 TEST(MessiTest, QueryStatsShowTreePruning) {
   const Dataset data = MakeData(6000);
@@ -307,8 +483,7 @@ TEST(MessiTest, MessiPrunesMoreRealDistancesThanParisFilter) {
   auto messi = MessiIndex::Build(Mem(data), SmallBuild(1), &build_pool);
   ASSERT_TRUE(messi.ok());
   InlineExecutor inline_exec;
-  MessiQueryOptions qopts;
-  qopts.num_workers = 1;
+  const MessiQueryOptions qopts;
 
   AdsBuildOptions ads_options;
   ads_options.tree = SmallBuild(1).tree;
