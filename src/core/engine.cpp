@@ -67,10 +67,9 @@ namespace {
 EngineCapabilities NarrowBy(EngineCapabilities caps, bool addressable,
                             bool appendable) {
   caps.append = caps.append && appendable;
-  // Background folds run concurrently with queries, which is only safe
-  // when appends themselves are gate-free: addressable sources whose
-  // serving state is immutable-published. Streamed engines fold
-  // synchronously in Save/Compact instead.
+  // Background compaction needs an addressable source: a streamed build
+  // always materializes its leaves, and an index with leaf storage folds
+  // only in Save/Compact (see Engine::capabilities).
   caps.background_compaction =
       caps.background_compaction && caps.append && addressable;
   return caps;
@@ -417,9 +416,9 @@ Result<std::unique_ptr<Engine>> Engine::OpenInternal(
 
 Status Engine::Save(const std::string& snapshot_path) {
   // append_mu_ freezes the serving snapshot (appends, compactor passes
-  // and other saves all hold it); pool_mu_ covers the serialization
-  // fan-out on the shared pool and guards the lineage. Queries keep
-  // running throughout — they hold neither lock.
+  // and other saves all hold it) and guards the lineage; pool_mu_ covers
+  // the serialization fan-out on the shared pool. Queries keep running
+  // throughout — they hold neither lock.
   MutexLock append_lock(&append_mu_);
   MutexLock pool_lock(&pool_mu_);
 
@@ -471,11 +470,9 @@ Status Engine::FoldAllLocked() {
   // Full snapshots serialize the base only, so every live segment folds
   // in first. Caller holds append_mu_ (no concurrent publication, so
   // the compare-and-publish folds cannot be discarded) and pool_mu_.
-  // The write side of index_gate_ covers the sources the fold shares
-  // with queries in place (streamed raw fetches, leaf-storage
-  // readbacks); for purely addressable engines it is uncontended in
-  // practice.
-  WriterLock gate(&index_gate_);
+  // Queries keep the snapshot they captured: the fold only reads the
+  // old base, its leaf chunks included (LeafStorage::ReadChunk is a
+  // pread).
   for (;;) {
     const auto snap = index_->serving();
     if (snap->segments.empty()) return Status::OK();
@@ -619,13 +616,8 @@ Result<SearchResponse> Engine::Search(SeriesView query,
 Result<SearchResponse> Engine::Search(SeriesView query,
                                       const SearchRequest& request,
                                       Executor* exec) {
-  // The in-place-mutation RW gate: any number of queries hold it
-  // shared. Segment appends over addressable sources never take it
-  // (queries keep the snapshot they captured); only streamed-source
-  // appends and synchronous fold-alls take it exclusively, draining
-  // in-flight queries first. (Lock order: pool_mu_, when the caller
-  // holds it, is always acquired before this.)
-  ReaderLock gate(&index_gate_);
+  // No engine lock: the index captures one serving snapshot, and
+  // appends and folds publish new ones beside it.
   PARISAX_RETURN_IF_ERROR(CheckQuery(query, request));
   // Entry deadline check. The engines additionally poll the token
   // inside their hot loops (MESSI every 64 node visits while traversing
@@ -708,33 +700,16 @@ Result<AppendReport> Engine::Append(const Value* values, size_t count) {
   }
 
   // append_mu_ serializes this append with other appends, Save/Compact
-  // and compactor passes; queries are NOT excluded.
+  // and compactor passes; queries are NOT excluded. The new segment is
+  // published as an atomic snapshot swap, and in-flight queries keep the
+  // snapshot they captured, so nothing drains.
   MutexLock append_lock(&append_mu_);
-
-  std::vector<uint32_t> touched;
-  if (addressable_source_) {
-    // Over an addressable source the new segment is published as an
-    // atomic snapshot swap — in-flight queries keep the snapshot they
-    // captured, so nothing drains. The segment is small (one batch), so
-    // building it inline beats contending for the shared query pool.
-    InlineExecutor inline_exec;
-    PARISAX_RETURN_IF_ERROR(
-        index_->Append(values, count, &inline_exec, &touched));
-  } else {
-    // A streamed source reopens its device in place, under the reads
-    // of in-flight refines, so it still needs the exclusive side of the
-    // RW gate: in-flight queries drain, new ones wait. pool_mu_ first
-    // (lock order; Save must not run mid-append), then the gate.
-    MutexLock pool_lock(&pool_mu_);
-    WriterLock gate(&index_gate_);
-    PARISAX_RETURN_IF_ERROR(
-        index_->Append(values, count, pool_.get(), &touched));
-  }
+  PARISAX_ASSIGN_OR_RETURN(report.touched_subtrees,
+                           index_->Append(values, count));
 
   append_epoch_.fetch_add(1, std::memory_order_acq_rel);
 
   report.total_series = series_count();
-  report.touched_subtrees = touched.size();
   report.wall_seconds = wall.ElapsedSeconds();
   KickCompactor();
   return report;

@@ -346,12 +346,11 @@ class Engine {
   /// z-normalized like the rest of the collection) to the engine's
   /// owned source, builds an immutable delta segment over just the new
   /// ids, and publishes it to the serving snapshot in one atomic epoch
-  /// bump. Requires capabilities().append. Thread-safe — and over
-  /// addressable sources *non-blocking for readers*: concurrent queries
+  /// bump. Requires capabilities().append. Thread-safe and
+  /// *non-blocking for readers* over every source: concurrent queries
   /// keep serving the snapshot they captured at entry while the append
-  /// builds off to the side; the background compactor later folds
-  /// segments into the base. Only streamed sources still drain queries
-  /// on the RW gate (their device is reopened in place).
+  /// builds off to the side; the background compactor (or Save/Compact)
+  /// later folds segments into the base.
   ///
   /// Failure contract: a file-backed source grows *before* the segment
   /// is built, so (a) if Append returns an error after the source grew,
@@ -469,19 +468,18 @@ class Engine {
   /// append_mu_ and pool_mu_.
   Status SaveFullLocked(const std::string& snapshot_path)
       PARISAX_REQUIRES(append_mu_, pool_mu_);
-  /// Folds every live segment into the base index; caller holds
-  /// append_mu_ and pool_mu_ (the fold briefly takes the write side of
-  /// index_gate_ to cover streamed sources and leaf storage).
+  /// Folds every live segment into the base index on the pool; caller
+  /// holds append_mu_ and pool_mu_. Queries keep running.
   Status FoldAllLocked() PARISAX_REQUIRES(append_mu_, pool_mu_);
   /// True when `snapshot_path` names a file of the current on-disk
   /// chain (or the chain cannot be walked): a delta must not overwrite
-  /// those. Caller holds pool_mu_ and lineage_ is set.
+  /// those. Caller holds append_mu_ and lineage_ is set.
   bool PathIsInLineageChain(const std::string& snapshot_path) const
-      PARISAX_REQUIRES(pool_mu_);
+      PARISAX_REQUIRES(append_mu_);
   /// Re-reads the just-written head and installs it as the lineage the
-  /// next Save chains to; caller holds pool_mu_.
+  /// next Save chains to; caller holds append_mu_.
   Status AdoptLineageHead(const std::string& snapshot_path)
-      PARISAX_REQUIRES(pool_mu_);
+      PARISAX_REQUIRES(append_mu_);
 
   /// Background compaction machinery. The thread is started at the end
   /// of Build/Open (never before the index exists) and stopped first
@@ -492,7 +490,7 @@ class Engine {
   void CompactorLoop() PARISAX_EXCLUDES(compactor_mu_, append_mu_);
   /// One cost-policy pass: merge or fold the current segment run if the
   /// trigger is met. Holds append_mu_ (so nothing else publishes) but
-  /// neither pool_mu_ nor index_gate_ — queries are never blocked.
+  /// not pool_mu_ — queries are never blocked.
   Status CompactionPass() PARISAX_EXCLUDES(append_mu_);
 
   EngineOptions options_;
@@ -501,24 +499,16 @@ class Engine {
   /// The writer mutex: Append, Save, Compact and compactor passes hold
   /// it for their whole critical section, so every serving-snapshot
   /// publication is serialized and the snapshot cannot move under a
-  /// Save. Queries never take it. Lock order: append_mu_ before
-  /// pool_mu_ before index_gate_ (ranks kEngineAppend < kEnginePool <
-  /// kIndexGate; KickCompactor also takes compactor_mu_ under it).
+  /// Save; it also guards the snapshot lineage. Queries never take it.
+  /// Lock order: append_mu_ before pool_mu_ (ranks kEngineAppend <
+  /// kEnginePool; KickCompactor also takes compactor_mu_ under it).
   Mutex append_mu_{"Engine::append_mu_", LockRank::kEngineAppend}
-      PARISAX_ACQUIRED_BEFORE(compactor_mu_, pool_mu_, index_gate_);
+      PARISAX_ACQUIRED_BEFORE(compactor_mu_, pool_mu_);
   /// Serializes parallel regions on pool_: ThreadPool::Run is not
   /// reentrant, so concurrent Search calls take turns on it (and Save's
-  /// serialization fan-out does too). Lock order: after append_mu_,
-  /// before index_gate_.
-  Mutex pool_mu_{"Engine::pool_mu_", LockRank::kEnginePool}
-      PARISAX_ACQUIRED_BEFORE(index_gate_);
-  /// The in-place-mutation RW gate: every query path holds it shared.
-  /// Only two writers take it exclusively: a streamed-source append
-  /// (FileSource::AppendSeries reopens the device a query may be reading
-  /// through) and the synchronous fold-all (it reads leaf storage and
-  /// the streamed source in place). Segment appends over addressable
-  /// sources publish immutable state and leave it alone.
-  SharedMutex index_gate_{"Engine::index_gate_", LockRank::kIndexGate};
+  /// serialization fan-out and the fold-all do too). Lock order: after
+  /// append_mu_.
+  Mutex pool_mu_{"Engine::pool_mu_", LockRank::kEnginePool};
   std::atomic<uint64_t> append_epoch_{0};
   std::atomic<uint64_t> compaction_count_{0};
   Mutex service_mu_{"Engine::service_mu_", LockRank::kServiceInit};
@@ -528,7 +518,7 @@ class Engine {
   BuildReport build_report_;
 
   /// Snapshot lineage: the chain head the next Save extends (set by
-  /// Save, Compact and Open). Guarded by pool_mu_.
+  /// Save, Compact and Open). Guarded by append_mu_.
   struct SnapshotLineage {
     std::string head_path;
     uint32_t head_header_crc = 0;
@@ -538,7 +528,7 @@ class Engine {
     /// write a delta over a chain member without re-walking the disk).
     std::vector<std::string> chain_paths;
   };
-  std::optional<SnapshotLineage> lineage_ PARISAX_GUARDED_BY(pool_mu_);
+  std::optional<SnapshotLineage> lineage_ PARISAX_GUARDED_BY(append_mu_);
 
   /// Compactor thread state (compactor_mu_ guards the flags; the
   /// passes themselves synchronize through append_mu_).

@@ -24,10 +24,9 @@ Result<Neighbor> ApproximateLeafSearch(const SaxTree& tree,
                                        KernelPolicy kernel,
                                        QueryStats* stats);
 
-/// Gate-free variant over a contiguous raw view: reads no source
-/// virtuals, so it is safe against a concurrent append that swaps the
-/// source's backing buffer (the serving snapshot pins the old view).
-/// Used by the segment-based query paths over addressable sources.
+/// Variant over a contiguous raw view: reads the snapshot's pinned
+/// buffer with no source virtual per series. Used by the segment-based
+/// query paths over addressable sources.
 Result<Neighbor> ApproximateLeafSearch(const SaxTree& tree,
                                        LeafStorage* storage,
                                        const RawDataView& raw,

@@ -136,7 +136,7 @@ Result<std::unique_ptr<FileSource>> FileSource::Open(
 }
 
 Status FileSource::GetSeries(SeriesId id, Value* out) const {
-  if (id >= info_.count) {
+  if (id >= count()) {
     return Status::InvalidArgument("series id out of range");
   }
   return disk_->ReadAt(info_.SeriesOffset(id), out,
@@ -144,16 +144,19 @@ Status FileSource::GetSeries(SeriesId id, Value* out) const {
 }
 
 Status FileSource::AppendSeries(const Value* values, size_t count) {
-  PARISAX_RETURN_IF_ERROR(
-      AppendToDatasetFile(path_, values, count, info_));
-  // Append-reopen: the device model caches the file size at open, so a
-  // fresh SimulatedDisk is opened over the longer file. Stats restart
-  // from zero, like remounting a device.
-  std::unique_ptr<SimulatedDisk> disk;
-  PARISAX_ASSIGN_OR_RETURN(disk,
-                           SimulatedDisk::Open(path_, disk_->profile()));
-  disk_ = std::move(disk);
-  info_.count += count;
+  // Appends are serialized by the caller; readers only load count_.
+  DatasetFileInfo info = info_;
+  info.count = count_.load();
+  PARISAX_RETURN_IF_ERROR(AppendToDatasetFile(path_, values, count, info));
+  info.count += count;
+  // The device's descriptor sees the bytes just written to its inode;
+  // a file replaced at path_ leaves its size behind.
+  PARISAX_RETURN_IF_ERROR(disk_->RefreshFileSize());
+  if (disk_->file_size() != info.FileBytes()) {
+    return Status::Corruption(
+        "dataset file changed under the source during append: " + path_);
+  }
+  count_.store(info.count);
   return Status::OK();
 }
 

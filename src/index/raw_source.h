@@ -14,6 +14,7 @@
 #ifndef PARISAX_INDEX_RAW_SOURCE_H_
 #define PARISAX_INDEX_RAW_SOURCE_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 
@@ -95,13 +96,14 @@ class RawSeriesSource {
   virtual bool appendable() const { return false; }
 
   /// Appends `count` series (count * length() values, row-major) to the
-  /// backing collection. Returns kNotSupported when !appendable(). The
-  /// addressable sources (an adopting InMemorySource, MmapSource) retire
-  /// the buffer they grow out of instead of freeing it, so
-  /// ContiguousData()/TryView pointers obtained before the call stay
-  /// valid: MESSI and ParIS/ParIS+ publish an append over them as a
-  /// segment while queries keep running. Engine still drains readers on
-  /// its gate while a streamed source appends.
+  /// backing collection. Returns kNotSupported when !appendable(). No
+  /// source invalidates a reader when it grows: the addressable sources
+  /// (an adopting InMemorySource, MmapSource) retire the buffer they grow
+  /// out of instead of freeing it, so ContiguousData()/TryView pointers
+  /// obtained before the call stay valid, and FileSource grows its file
+  /// in place under the device its reads go through. MESSI and
+  /// ParIS/ParIS+ therefore publish an append as a segment while queries
+  /// keep running.
   virtual Status AppendSeries(const Value* values, size_t count);
 };
 
@@ -157,7 +159,8 @@ struct RawDataView {
 /// behind a SimulatedDisk. Query-time random fetches (GetSeries) are
 /// metered with `random_profile`; sequential passes (OpenStream — the
 /// coordinator's Stage-1 reads, the on-disk UCR scan) are metered with
-/// `stream_profile`.
+/// `stream_profile`. GetSeries may run concurrently with one
+/// AppendSeries.
 class FileSource : public RawSeriesSource {
  public:
   static Result<std::unique_ptr<FileSource>> Open(const std::string& path,
@@ -170,7 +173,7 @@ class FileSource : public RawSeriesSource {
     return Open(path, profile, profile);
   }
 
-  size_t count() const override { return info_.count; }
+  size_t count() const override { return count_.load(); }
   size_t length() const override { return info_.length; }
 
   Status GetSeries(SeriesId id, Value* out) const override;
@@ -185,14 +188,16 @@ class FileSource : public RawSeriesSource {
     return disk_->profile().metered();
   }
 
-  /// Appends to the dataset file, then reopens the device model over the
-  /// longer file (append-reopen).
+  /// Grows the dataset file in place, on the inode the device has open,
+  /// so the device (and disk()) stays the same and reads in flight are
+  /// undisturbed; then refreshes the device's size and count(). Returns
+  /// kCorruption, with count() unchanged, when the file was truncated or
+  /// replaced under the source.
   bool appendable() const override { return true; }
   Status AppendSeries(const Value* values, size_t count) override;
 
+  /// The query-time device; valid for the source's lifetime.
   SimulatedDisk* disk() { return disk_.get(); }
-  const DatasetFileInfo& info() const { return info_; }
-  const std::string& path() const { return path_; }
 
  private:
   FileSource(std::string path, std::unique_ptr<SimulatedDisk> disk,
@@ -200,12 +205,16 @@ class FileSource : public RawSeriesSource {
       : path_(std::move(path)),
         disk_(std::move(disk)),
         stream_profile_(stream_profile),
-        info_(info) {}
+        info_(info),
+        count_(info.count) {}
 
   const std::string path_;
-  std::unique_ptr<SimulatedDisk> disk_;  // random (query-time) accesses
-  const DiskProfile stream_profile_;     // sequential (build-time) passes
-  DatasetFileInfo info_;
+  const std::unique_ptr<SimulatedDisk> disk_;  // random (query-time) reads
+  const DiskProfile stream_profile_;  // sequential (build-time) passes
+  const DatasetFileInfo info_;  // the header as opened; count_ is current
+  /// Stored only after the device has seen the grown file, so an id
+  /// below count() is always readable.
+  std::atomic<uint64_t> count_;
 };
 
 }  // namespace parisax

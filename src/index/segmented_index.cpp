@@ -47,25 +47,22 @@ void SegmentedIndex::PublishInitial(std::shared_ptr<ServingState> state) {
   dock_.Publish(std::move(state));
 }
 
-Status SegmentedIndex::Append(const Value* values, size_t count,
-                              Executor* exec,
-                              std::vector<uint32_t>* touched_roots) {
-  if (touched_roots != nullptr) touched_roots->clear();
-  if (count == 0) return Status::OK();
+Result<size_t> SegmentedIndex::Append(const Value* values, size_t count) {
+  if (count == 0) return size_t{0};
   const SeriesId first = dock_.get()->count;
 
-  // Grow the source first (the source retires — never frees — the
-  // buffers behind published raw views), then build the segment from
-  // the caller's values and publish both in one atomic step. Queries
-  // keep whichever snapshot they captured.
+  // Grow the source first (no source invalidates a reader as it grows),
+  // then build the segment from the caller's values and publish both in
+  // one atomic step. Queries keep whichever snapshot they captured. The
+  // segment is one batch, so building it inline beats contending for a
+  // shared pool.
   PARISAX_RETURN_IF_ERROR(source_->AppendSeries(values, count));
+  InlineExecutor inline_exec;
   std::shared_ptr<const Segment> segment;
   PARISAX_ASSIGN_OR_RETURN(segment, BuildSegment(values, count, first,
                                                  tree_options_, flat_sax_,
-                                                 exec));
-  if (touched_roots != nullptr) {
-    *touched_roots = segment->tree.PresentRoots();
-  }
+                                                 &inline_exec));
+  const size_t touched_roots = segment->tree.PresentRoots().size();
   dock_.PublishAppend(std::move(segment),
                       RawDataView{source_->ContiguousData(),
                                   tree_options_.series_length},
@@ -81,7 +78,7 @@ Status SegmentedIndex::Append(const Value* values, size_t count,
     assert(total == snap->count);
   }
 #endif
-  return Status::OK();
+  return touched_roots;
 }
 
 Result<bool> SegmentedIndex::FoldSegments(
@@ -166,8 +163,8 @@ Result<Neighbor> SegmentedIndex::ProbeAllTrees(const ServingState& snap,
                                                const SaxSymbols& sax,
                                                KernelPolicy kernel,
                                                QueryStats* stats) const {
-  // Addressable snapshots read through the pinned raw view (gate-free);
-  // streamed ones go through the source.
+  // Addressable snapshots read through the pinned raw view, with no
+  // virtual call per series; streamed ones go through the source.
   const auto probe = [&](const SaxTree& tree, LeafStorage* storage) {
     return snap.raw.base != nullptr
                ? ApproximateLeafSearch(tree, storage, snap.raw, query, paa,

@@ -22,7 +22,6 @@
 #define PARISAX_INDEX_SEGMENTED_INDEX_H_
 
 #include <memory>
-#include <vector>
 
 #include "dist/euclidean.h"
 #include "index/leaf_storage.h"
@@ -42,14 +41,13 @@ class SegmentedIndex {
   /// Incremental ingest: appends `count` series (count * length values,
   /// row-major, already z-normalized) to the owned source, then builds
   /// an immutable delta segment over just the new ids (with flat-SAX
-  /// rows for the ParIS family) and publishes it onto the serving
-  /// snapshot. `touched_roots` (optional) receives the ascending root
-  /// keys the segment populated. Over an addressable source, queries
-  /// proceed concurrently (they keep the snapshot they captured at
-  /// entry); callers serialize appends with each other (the Engine
-  /// append mutex does). Requires source().appendable().
-  Status Append(const Value* values, size_t count, Executor* exec,
-                std::vector<uint32_t>* touched_roots = nullptr);
+  /// rows for the ParIS family) on the calling thread and publishes it
+  /// onto the serving snapshot. Returns the number of root subtrees the
+  /// segment populated. Queries proceed concurrently (they keep the
+  /// snapshot they captured at entry); callers serialize appends with
+  /// each other (the Engine append mutex does). Requires
+  /// source().appendable().
+  Result<size_t> Append(const Value* values, size_t count);
 
   /// Approximate 1-NN: best real distance within the matching leaf of
   /// the base and of every segment.

@@ -51,8 +51,8 @@ class Dataset {
   /// alive and unchanged for the Dataset's lifetime — rather than
   /// freed, so raw()/series() pointers obtained before the call remain
   /// valid views of the first count() series. Readers holding such a
-  /// pinned view race with nothing (the engine's gate-free append path
-  /// relies on this). Capacity grows geometrically, so a long sequence
+  /// pinned view race with nothing (the engine's append path relies on
+  /// this). Capacity grows geometrically, so a long sequence
   /// of small appends costs amortized O(1) copying per appended series.
   void Append(const Value* values, size_t count) {
     assert(length_ > 0);

@@ -51,12 +51,14 @@ Status AppendToDatasetFile(const std::string& path, const Value* values,
   if (f == nullptr) {
     return Status::IOError("cannot open dataset file for append: " + path);
   }
-  // fseeko: FileBytes() can exceed LONG_MAX on ILP32/LLP64 platforms
-  // (a > 2 GiB collection), where a truncated fseek(long) offset would
-  // silently overwrite existing series.
-  if (fseeko(f.get(), static_cast<off_t>(info.FileBytes()), SEEK_SET) !=
-      0) {
-    return Status::IOError("seek failed: " + path);
+  // The values go at the end, which must be where `info` puts it: a
+  // write past the end of a file truncated since would leave a hole the
+  // patched count then covers. fseeko/ftello: FileBytes() can exceed
+  // LONG_MAX on ILP32/LLP64 platforms (a > 2 GiB collection).
+  if (fseeko(f.get(), 0, SEEK_END) != 0 ||
+      static_cast<uint64_t>(ftello(f.get())) != info.FileBytes()) {
+    return Status::Corruption("dataset file is not the size its header "
+                              "gives before append: " + path);
   }
   const size_t new_values = count * info.length;
   if (std::fwrite(values, sizeof(Value), new_values, f.get()) !=

@@ -57,7 +57,8 @@ Status WriteDataset(const Dataset& dataset, const std::string& path,
 /// is patched, so a process crash or power loss mid-append leaves a
 /// valid file with the old count — the header never advertises series
 /// whose values might not have survived. `info` must describe the
-/// file's current (pre-append) shape.
+/// file's current (pre-append) shape; a file of another size (truncated
+/// or grown since) is kCorruption and is left unchanged.
 Status AppendToDatasetFile(const std::string& path, const Value* values,
                            size_t count, const DatasetFileInfo& info);
 

@@ -35,8 +35,8 @@ Status MmapSource::AppendSeries(const Value* values, size_t count) {
   // for the source's lifetime), not unmapped: readers holding views
   // into it stay valid — the appended bytes and the patched header lie
   // outside the data region those views cover — so the engine's
-  // gate-free append path never invalidates a pinned raw view. A
-  // failed append leaves the source untouched.
+  // append path never invalidates a pinned raw view. A failed append
+  // leaves the source untouched.
   const std::string path = file_->path();
   PARISAX_RETURN_IF_ERROR(AppendToDatasetFile(path, values, count, info_));
   std::unique_ptr<MmapFile> grown;

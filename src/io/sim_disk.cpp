@@ -36,6 +36,17 @@ void SleepUntilNanos(int64_t deadline) {
   }
 }
 
+/// The calling thread's channel: a thread takes the next ordinal of one
+/// process-wide counter on its first metered read and keeps it, so
+/// readers spread over the channels round robin. (A hash of the thread
+/// id would let two threads share a channel in some runs and not in
+/// others, and make metered timings bimodal.)
+int ThreadChannel(int channels) {
+  static std::atomic<uint32_t> next_ordinal{0};
+  thread_local const uint32_t ordinal = next_ordinal.fetch_add(1);
+  return static_cast<int>(ordinal % static_cast<uint32_t>(channels));
+}
+
 }  // namespace
 
 DiskProfile DiskProfile::Hdd() {
@@ -63,8 +74,8 @@ DiskProfile DiskProfile::Ssd() {
 
 DiskProfile DiskProfile::Instant() { return DiskProfile(); }
 
-SimulatedDisk::SimulatedDisk(int fd, uint64_t file_size, DiskProfile profile)
-    : fd_(fd), file_size_(file_size), profile_(std::move(profile)) {
+SimulatedDisk::SimulatedDisk(int fd, DiskProfile profile)
+    : fd_(fd), profile_(std::move(profile)) {
   if (profile_.metered()) {
     ns_per_byte_ = 1e9 / (profile_.seq_read_mbps * 1024.0 * 1024.0);
     seek_ns_ = static_cast<int64_t>(profile_.seek_latency_us * 1000.0);
@@ -81,28 +92,32 @@ SimulatedDisk::SimulatedDisk(int fd, uint64_t file_size, DiskProfile profile)
 
 SimulatedDisk::~SimulatedDisk() { ::close(fd_); }
 
+Status SimulatedDisk::RefreshFileSize() {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) {
+    return Status::IOError("fstat failed on simulated disk");
+  }
+  const auto size = static_cast<uint64_t>(st.st_size);
+  if (size > file_size()) file_size_.store(size);
+  return Status::OK();
+}
+
 Result<std::unique_ptr<SimulatedDisk>> SimulatedDisk::Open(
     const std::string& path, DiskProfile profile) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Status::NotFound("cannot open file for simulated disk: " + path);
   }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::IOError("fstat failed: " + path);
-  }
-  return std::unique_ptr<SimulatedDisk>(new SimulatedDisk(
-      fd, static_cast<uint64_t>(st.st_size), std::move(profile)));
+  std::unique_ptr<SimulatedDisk> disk(
+      new SimulatedDisk(fd, std::move(profile)));
+  PARISAX_RETURN_IF_ERROR(disk->RefreshFileSize());
+  return disk;
 }
 
 int64_t SimulatedDisk::ChargeAndWait(uint64_t offset, size_t size) {
   // Channel selection is thread-affine so each reader thread's stream
   // keeps its own head position (HDD: 1 channel, one global head).
-  const int channels = std::max(1, profile_.channels);
-  const int ch = static_cast<int>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      static_cast<size_t>(channels));
+  const int ch = ThreadChannel(std::max(1, profile_.channels));
 
   // Seek detection: contiguous (or within the contiguity window, where
   // the device simply reads through the gap) forward accesses are free of
@@ -140,7 +155,7 @@ int64_t SimulatedDisk::ChargeAndWait(uint64_t offset, size_t size) {
 }
 
 Status SimulatedDisk::ReadAt(uint64_t offset, void* buffer, size_t size) {
-  if (offset + size > file_size_) {
+  if (offset + size > file_size()) {
     return Status::InvalidArgument("read past end of simulated disk file");
   }
   read_calls_.fetch_add(1, std::memory_order_relaxed);

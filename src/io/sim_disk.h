@@ -72,21 +72,28 @@ class SimulatedDisk {
   /// device time. Fails if the range is outside the file.
   Status ReadAt(uint64_t offset, void* buffer, size_t size);
 
-  uint64_t file_size() const { return file_size_; }
+  uint64_t file_size() const { return file_size_.load(); }
   const DiskProfile& profile() const { return profile_; }
+
+  /// Re-reads the size of the file behind the disk's own descriptor, for
+  /// a file grown in place on the same inode: the descriptor already
+  /// sees the new bytes, so readers in flight are not disturbed. The
+  /// size ReadAt checks against (file_size()) only grows; callers
+  /// serialize refreshes.
+  Status RefreshFileSize();
 
   DiskStats stats() const;
   void ResetStats();
 
  private:
-  SimulatedDisk(int fd, uint64_t file_size, DiskProfile profile);
+  SimulatedDisk(int fd, DiskProfile profile);
 
   /// Claims device time for a read of `size` bytes at `offset` and sleeps
   /// until the claimed slot has elapsed. Returns charged nanoseconds.
   int64_t ChargeAndWait(uint64_t offset, size_t size);
 
   const int fd_;
-  const uint64_t file_size_;
+  std::atomic<uint64_t> file_size_{0};
   const DiskProfile profile_;
 
   double ns_per_byte_ = 0.0;
@@ -94,10 +101,10 @@ class SimulatedDisk {
 
   /// Simulated-busy-until timestamps (steady-clock ns), one per channel.
   std::unique_ptr<std::atomic<int64_t>[]> channel_busy_until_;
-  /// Last byte past the previous read, per channel. Channels are chosen
-  /// by thread affinity, so each reader thread keeps its own sequential
-  /// stream (like independent NVMe command streams); an HDD has a single
-  /// channel and therefore one global head.
+  /// Last byte past the previous read, per channel. Each reader thread
+  /// keeps one channel (threads take channels round robin), so it keeps
+  /// its own sequential stream (like independent NVMe command streams);
+  /// an HDD has a single channel and therefore one global head.
   std::unique_ptr<std::atomic<uint64_t>[]> channel_head_;
 
   mutable std::atomic<uint64_t> read_calls_{0};

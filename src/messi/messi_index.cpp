@@ -358,7 +358,9 @@ Result<std::unique_ptr<MessiIndex>> MessiIndex::Build(
       summarize_timer.ElapsedSeconds();
 
   // Stage 2: each worker builds whole root subtrees, claimed by
-  // Fetch&Inc; no synchronization inside a subtree.
+  // Fetch&Inc; no synchronization inside a subtree. A root's entries go
+  // in by id, as a one-worker build gathers them, so the tree does not
+  // depend on which worker summarized which chunk.
   WallTimer tree_timer;
   Mutex error_mu{"error_mu", LockRank::kFirstError};
   Status first_error;
@@ -372,6 +374,10 @@ Result<std::unique_ptr<MessiIndex>> MessiIndex::Build(
         const uint32_t key = keys[item];
         gathered.clear();
         buffers.Gather(key, &gathered);
+        std::sort(gathered.begin(), gathered.end(),
+                  [](const LeafEntry& a, const LeafEntry& b) {
+                    return a.id < b.id;
+                  });
         Node* root = base->GetOrCreateRoot(key);
         for (const LeafEntry& e : gathered) {
           const Status st = base->InsertIntoSubtree(root, e, nullptr);

@@ -29,8 +29,8 @@
 // live in the SegmentedIndex core it shares with MESSI
 // (src/index/segmented_index.h); queries capture one snapshot at entry,
 // filter the base's SAX array and every segment's rows under one shared
-// bound, and refine against the pinned raw view — so appends over
-// addressable sources never exclude queries.
+// bound, and refine against the pinned raw view (or through a streamed
+// source, which grows in place) — so appends never exclude queries.
 //
 // Query answering (both variants): seed the BSF from the approximate-
 // match leaf, filter the flat SAX array in parallel with mindist, keeping

@@ -94,11 +94,10 @@ enum class LockRank : int {
   kServiceInit = 30,  ///< Engine::service_mu_ (lazy service)
   kServeWake = 40,    ///< QueryService::wake_mu_ (sleep/wake protocol)
   kServeDeque = 50,   ///< QueryService::Shard::mu (work-stealing deques)
-  // --- engine core (the documented append -> pool -> gate chain) ---
+  // --- engine core (the documented append -> pool chain) ---
   kEngineAppend = 70,  ///< Engine::append_mu_ (writer gate)
   kCompactor = 80,     ///< Engine::compactor_mu_ (kicked under append_mu_)
   kEnginePool = 90,    ///< Engine::pool_mu_ (shared ThreadPool regions)
-  kIndexGate = 100,    ///< Engine::index_gate_ (query/structure gate)
   // --- index structures ---
   kServingDock = 110,  ///< ServingDock::mu_ (snapshot publication)
   kBuildSlot = 120,    ///< ParIS BatchSlot::mu (pipeline slots)

@@ -222,8 +222,9 @@ TEST(AppendTest, AppendOverStreamedFileSource) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ((*engine)->series_count(), full.count());
 
-  // The streamed engine fetches raw values through the (re-opened)
-  // device; results must match the in-memory oracle exactly.
+  // The streamed engine fetches raw values through its device, which
+  // sees the file grown in place; results must match the in-memory
+  // oracle exactly.
   const InMemorySource oracle(&full);
   const Dataset queries = GenerateQueries(DatasetKind::kRandomWalk, 4,
                                           kLength, 93);
@@ -275,11 +276,13 @@ TEST(AppendTest, AppendUnderConcurrentQueryServiceLoad) {
   const Dataset full = MakeData(1600, 101);
   const Dataset queries = GenerateQueries(DatasetKind::kRandomWalk, 8,
                                           kLength, 102);
-  // One engine per append path: in memory, MESSI and ParIS+ publish
-  // segments into the serving snapshot while queries run; over a
-  // streamed file, ParIS+ appends under the exclusive side of the
-  // writer gate, draining the queries in flight.
+  // One engine per source: in memory, MESSI and ParIS+; over a streamed
+  // file, ParIS+ with its leaves on disk. Each publishes segments into
+  // the serving snapshot while queries run. The streamed engine also
+  // compacts between batches: the fold reads the base's leaf chunks
+  // back while queries read the same chunks.
   const std::string path = TempPath("concurrent_stream.psax");
+  const std::string snapshot = TempPath("concurrent_stream.snap");
   ASSERT_TRUE(WriteDataset(Slice(full, 0, 1000), path).ok());
   const struct {
     Algorithm algorithm;
@@ -332,6 +335,11 @@ TEST(AppendTest, AppendUnderConcurrentQueryServiceLoad) {
     for (size_t first = 1000; first < 1600; first += 200) {
       auto report = engine->Append(Slice(full, first, 200));
       ASSERT_TRUE(report.ok()) << report.status().ToString();
+      if (arm.streamed) {
+        const Status compacted = engine->Compact(snapshot);
+        ASSERT_TRUE(compacted.ok()) << compacted.ToString();
+        EXPECT_TRUE(engine->segmented_index()->serving()->segments.empty());
+      }
     }
     // Let the clients observe the final epoch before stopping.
     while (answered.load(std::memory_order_relaxed) < 24) {

@@ -2,12 +2,17 @@
 // buffered reader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <thread>
+#include <vector>
 
 #include "dist/znorm.h"
+#include "index/raw_source.h"
 #include "io/format.h"
 #include "io/generator.h"
 #include "io/reader.h"
@@ -378,6 +383,51 @@ TEST(SimDiskTest, SingleChannelSerializesConcurrentReaders) {
   EXPECT_GT(timer.ElapsedSeconds(), 0.030);
 }
 
+// Each reader thread keeps a channel of its own: four threads that
+// each read one forward run, all at once, on an 8-channel device pay
+// one seek each. Two threads sharing a channel would interleave their
+// runs on one head and seek on nearly every read.
+TEST(SimDiskTest, ReaderThreadsTakeDistinctChannels) {
+  constexpr int kThreads = 4, kRun = 48;
+  constexpr SeriesId kRegion = 64;  // runs are 16 series apart
+  const Dataset data = SmallDataset(kThreads * kRegion, 64);
+  const std::string path = TempPath("disk_thread_channels.psax");
+  ASSERT_TRUE(WriteDataset(data, path).ok());
+
+  DiskProfile ssd;
+  ssd.name = "ssd8";
+  ssd.seq_read_mbps = 12.8;  // about 19 us per 256-byte series
+  ssd.seek_latency_us = 100.0;
+  ssd.channels = 8;
+  ssd.contiguity_window_bytes = 0;
+  auto disk = SimulatedDisk::Open(path, ssd);
+  ASSERT_TRUE(disk.ok());
+
+  const DatasetFileInfo info{data.count(), 64, 0};
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      std::vector<float> buf(64);
+      // Never from offset 0, where a fresh channel's head starts.
+      const SeriesId first = t * kRegion + 1;
+      for (SeriesId id = first; id < first + kRun; ++id) {
+        ASSERT_TRUE((*disk)
+                        ->ReadAt(info.SeriesOffset(id), buf.data(),
+                                 info.SeriesBytes())
+                        .ok());
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ((*disk)->stats().seeks, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ((*disk)->stats().read_calls,
+            static_cast<uint64_t>(kThreads * kRun));
+  std::remove(path.c_str());
+}
+
 TEST(SimDiskTest, ProfilesHaveExpectedShape) {
   const DiskProfile hdd = DiskProfile::Hdd();
   const DiskProfile ssd = DiskProfile::Ssd();
@@ -387,6 +437,119 @@ TEST(SimDiskTest, ProfilesHaveExpectedShape) {
   EXPECT_LT(ssd.seek_latency_us, hdd.seek_latency_us);
   EXPECT_GT(ssd.channels, hdd.channels);
   EXPECT_FALSE(DiskProfile::Instant().metered());
+}
+
+// --- file source ------------------------------------------------------------
+
+/// Rows [first, first + count) of `data` as their own collection.
+Dataset Rows(const Dataset& data, size_t first, size_t count) {
+  Dataset out(count, data.length());
+  for (size_t i = 0; i < count; ++i) {
+    const SeriesView src = data.series(first + i);
+    std::copy(src.begin(), src.end(), out.mutable_series(i).begin());
+  }
+  return out;
+}
+
+// A FileSource grows its file in place under the device its reads go
+// through: readers of the old rows (and of the newest row the count
+// admits) never see a failed or torn read while the main thread
+// appends, and the device, with its counters, stays the same.
+TEST(FileSourceTest, GrowsInPlaceUnderConcurrentReads) {
+  constexpr size_t kLength = 32, kOld = 200, kBatch = 100, kBatches = 4;
+  const Dataset data = SmallDataset(kOld + kBatch * kBatches, kLength, 5);
+  const std::string path = TempPath("file_source_grow.psax");
+  ASSERT_TRUE(WriteDataset(Rows(data, 0, kOld), path).ok());
+  auto opened = FileSource::Open(path, DiskProfile::Instant());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  FileSource* source = opened->get();
+  SimulatedDisk* const disk = source->disk();
+
+  const auto matches = [&](SeriesId id, const std::vector<Value>& got) {
+    const SeriesView want = data.series(id);
+    return std::equal(want.begin(), want.end(), got.begin());
+  };
+  std::vector<Value> buf(kLength);
+  uint64_t reads = 0;
+  for (SeriesId id = 0; id < kOld; id += 20, ++reads) {
+    ASSERT_TRUE(source->GetSeries(id, buf.data()).ok());
+  }
+  ASSERT_EQ(disk->stats().read_calls, reads);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reader_reads{0};
+  std::atomic<uint64_t> bad_reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<Value> out(kLength);
+      uint64_t n = 0;
+      for (SeriesId i = r; !stop.load(std::memory_order_acquire); ++i) {
+        // An old row, then the newest row the current count admits.
+        const SeriesId newest = source->count() - 1;
+        for (const SeriesId id : {i % kOld, newest}) {
+          const Status st = source->GetSeries(id, out.data());
+          if (!st.ok() || !matches(id, out)) bad_reads.fetch_add(1);
+          ++n;
+        }
+      }
+      reader_reads.fetch_add(n);
+    });
+  }
+  for (size_t b = 0; b < kBatches; ++b) {
+    const size_t first = kOld + b * kBatch;
+    const Dataset batch = Rows(data, first, kBatch);
+    // EXPECT only while the readers run: they must be joined below.
+    const Status appended = source->AppendSeries(batch.raw(), kBatch);
+    EXPECT_TRUE(appended.ok()) << appended.ToString();
+    EXPECT_EQ(source->count(), first + kBatch);
+    EXPECT_EQ(source->disk(), disk);
+    EXPECT_TRUE(source->GetSeries(first + kBatch - 1, buf.data()).ok());
+    EXPECT_TRUE(matches(first + kBatch - 1, buf));
+    ++reads;
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_EQ(source->disk(), disk);
+  EXPECT_EQ(disk->stats().read_calls, reads + reader_reads.load());
+  EXPECT_EQ(disk->file_size(),
+            (DatasetFileInfo{source->count(), kLength, 0}).FileBytes());
+  std::remove(path.c_str());
+}
+
+// A dataset file truncated, or replaced by another file, under the
+// source makes an append fail typed, and the count does not move.
+TEST(FileSourceTest, AppendToAChangedFileIsCorruption) {
+  constexpr size_t kLength = 16;
+  const Dataset data = SmallDataset(120, kLength, 6);
+  const Dataset batch = Rows(data, 100, 20);
+  const DatasetFileInfo layout{100, kLength, 0};
+
+  const std::string truncated = TempPath("file_source_truncated.psax");
+  ASSERT_TRUE(WriteDataset(Rows(data, 0, 100), truncated).ok());
+  auto source = FileSource::Open(truncated, DiskProfile::Instant());
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  std::filesystem::resize_file(truncated,
+                               layout.FileBytes() - 10 * layout.SeriesBytes());
+  EXPECT_EQ((*source)->AppendSeries(batch.raw(), batch.count()).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ((*source)->count(), 100u);
+  std::remove(truncated.c_str());
+
+  const std::string replaced = TempPath("file_source_replaced.psax");
+  ASSERT_TRUE(WriteDataset(Rows(data, 0, 100), replaced).ok());
+  source = FileSource::Open(replaced, DiskProfile::Instant());
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  ASSERT_TRUE(WriteDataset(Rows(data, 0, 100), replaced + ".new").ok());
+  std::filesystem::rename(replaced + ".new", replaced);
+  EXPECT_EQ((*source)->AppendSeries(batch.raw(), batch.count()).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ((*source)->count(), 100u);
+  std::vector<Value> buf(kLength);
+  EXPECT_FALSE((*source)->GetSeries(100, buf.data()).ok());
+  std::remove(replaced.c_str());
 }
 
 // --- buffered reader --------------------------------------------------------

@@ -16,7 +16,7 @@ namespace {
 TEST(LockRankTest, IncreasingOrderIsAccepted) {
   Mutex low("test::low", LockRank::kEngineAppend);
   Mutex high("test::high", LockRank::kPool);
-  SharedMutex gate("test::gate", LockRank::kIndexGate);
+  SharedMutex gate("test::gate", LockRank::kServingDock);
   {
     MutexLock a(&low);
     ReaderLock g(&gate);
@@ -37,7 +37,7 @@ TEST(LockRankTest, OutOfOrderReleaseIsTracked) {
   // order than acquiring must not confuse it.
   Mutex a("test::a", LockRank::kEngineAppend);
   Mutex b("test::b", LockRank::kEnginePool);
-  Mutex c("test::c", LockRank::kIndexGate);
+  Mutex c("test::c", LockRank::kServingDock);
   a.Lock();
   b.Lock();
   a.Unlock();  // out of order
@@ -73,12 +73,12 @@ TEST(LockRankTest, CondVarWaitKeepsHeldSetAccurate) {
 
 TEST(LockRankDeathTest, OutOfOrderAcquisitionAbortsNamingBothLocks) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex inner("test::inner_lock", LockRank::kIndexGate);
+  Mutex inner("test::inner_lock", LockRank::kServingDock);
   Mutex outer("test::outer_lock", LockRank::kEngineAppend);
   ASSERT_DEATH(
       {
         MutexLock a(&inner);
-        MutexLock b(&outer);  // kEngineAppend < kIndexGate: inverted
+        MutexLock b(&outer);  // kEngineAppend < kServingDock: inverted
       },
       // The abort message must name both locks so the violation is
       // diagnosable from the log alone.

@@ -1,5 +1,6 @@
 // Tests for MESSI: build equivalence across worker counts and buffer
-// strategies (footnote-2 ablation), query correctness inline and on pools
+// strategies (footnote-2 ablation), a tree independent of the build
+// schedule, query correctness inline and on pools
 // of several sizes, Stage-3 counts under parallel workers, the leaves and
 // real distances the leaf runs refine, pruning statistics, and the iSAX
 // buffer set.
@@ -118,6 +119,41 @@ TEST(MessiTest, LockedAndPartitionedBuffersBuildSameRootPopulation) {
             (*locked)->tree().PresentRoots());
   EXPECT_EQ(AllIndexedIds((*partitioned)->tree()),
             AllIndexedIds((*locked)->tree()));
+}
+
+// A build's tree does not depend on the schedule: a root's entries go
+// in by id whichever worker summarized them, so one worker, four, and
+// four over the locked buffers give the same leaves in the same order,
+// each holding the same ids in the same order. Small chunks make every
+// worker claim several.
+TEST(MessiTest, BuildTreeDoesNotDependOnTheSchedule) {
+  const Dataset data = MakeData(20000);
+  const auto leaves = [&](int workers, bool locked) {
+    MessiBuildOptions options = SmallBuild(workers, locked);
+    options.chunk_series = 64;
+    ThreadPool pool(workers);
+    auto index = MessiIndex::Build(Mem(data), options, &pool);
+    EXPECT_TRUE(index.ok()) << index.status().ToString();
+    std::vector<std::vector<SeriesId>> ids;
+    if (!index.ok()) return ids;
+    (*index)->tree().VisitLeaves(nullptr, [&](Node* leaf) {
+      std::vector<SeriesId>& leaf_ids = ids.emplace_back();
+      for (const LeafEntry& e : leaf->entries()) leaf_ids.push_back(e.id);
+    });
+    return ids;
+  };
+  const auto serial = leaves(1, false);
+  ASSERT_GT(serial.size(), 100u);
+  for (const bool locked : {false, true}) {
+    const auto parallel = leaves(4, locked);
+    ASSERT_EQ(parallel.size(), serial.size()) << "locked=" << locked;
+    size_t differing = 0;
+    for (size_t i = 0; i < serial.size(); ++i) {
+      if (parallel[i] != serial[i]) ++differing;
+    }
+    EXPECT_EQ(differing, 0u) << "locked=" << locked << ": of "
+                             << serial.size() << " leaves";
+  }
 }
 
 TEST(MessiTest, BuildStatsCoverBothStages) {

@@ -173,13 +173,14 @@ TEST(SegmentTest, AppendsPublishSegmentsWithoutFolding) {
   }
 }
 
-// Over an addressable source, MESSI and ParIS+ publish an append as a
-// segment without taking the exclusive index gate, so a query never
-// waits for an append in flight. The append parks inside AppendSeries,
-// holding the engine's append lock; exact 1-NN through Engine::Search
-// and through the query service must still answer promptly, from the
-// base rows alone. The queries are the appended rows, so once the
-// append lands each must find itself.
+// On every source, MESSI and ParIS+ publish an append as a segment
+// without a lock any query takes, so a query never waits for an append
+// in flight: over memory, and over a streamed file with the leaves on
+// disk, whose FileSource grows in place. The append parks inside
+// AppendSeries, holding the engine's append lock; exact 1-NN through
+// Engine::Search and through the query service must still answer
+// promptly, from the base rows alone. The queries are the appended
+// rows, so once the append lands each must find itself.
 TEST(SegmentTest, AppendInFlightNeverBlocksQueries) {
   constexpr auto kQueryWait = std::chrono::seconds(10);
   const Dataset full = MakeData(600, 271);
@@ -187,14 +188,38 @@ TEST(SegmentTest, AppendInFlightNeverBlocksQueries) {
   const Dataset tail = Slice(full, base_rows, full.count() - base_rows);
   const SeriesId first_query = 460;
   const Dataset queries = Slice(full, first_query, 6);
-  for (const Algorithm a : {Algorithm::kMessi, Algorithm::kParisPlus}) {
-    const std::string label = AlgorithmName(a);
-    auto latched = std::make_unique<testsupport::AppendLatchedSource>(
-        Slice(full, 0, base_rows));
+  const std::string path = TempPath("in_flight_stream.psax");
+  ASSERT_TRUE(WriteDataset(Slice(full, 0, base_rows), path).ok());
+  const struct {
+    Algorithm algorithm;
+    bool streamed;
+  } arms[] = {{Algorithm::kMessi, false},
+              {Algorithm::kParisPlus, false},
+              {Algorithm::kParisPlus, true}};
+  for (const auto& arm : arms) {
+    const Algorithm a = arm.algorithm;
+    const std::string label = std::string(AlgorithmName(a)) +
+                              (arm.streamed ? "/streamed" : "/in-memory");
+    EngineOptions options = BaseOptions(a);
+    std::unique_ptr<RawSeriesSource> source;
+    if (arm.streamed) {
+      auto file = FileSource::Open(path, DiskProfile::Instant());
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      source = std::move(*file);
+      options.leaf_storage_path = path + ".leaves";
+    } else {
+      source = std::make_unique<InMemorySource>(Slice(full, 0, base_rows));
+    }
+    auto latched =
+        std::make_unique<testsupport::AppendLatchedSource>(std::move(source));
     testsupport::AppendLatchedSource* latch = latched.get();
-    auto engine = Engine::Build(SourceSpec::Custom(std::move(latched)),
-                                BaseOptions(a));
+    auto engine =
+        Engine::Build(SourceSpec::Custom(std::move(latched)), options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_EQ((*engine)->source().addressable(), !arm.streamed) << label;
+    EXPECT_EQ((*engine)->segmented_index()->leaf_storage() != nullptr,
+              arm.streamed)
+        << label;
     auto base = Engine::Build(SourceSpec::InMemory(Slice(full, 0, base_rows)),
                               BaseOptions(a));
     auto grown = Engine::Build(

@@ -1,15 +1,17 @@
-// An in-memory source whose appends park until the test releases them.
+// A source whose appends park until the test releases them.
 //
-// AppendLatchedSource adopts a Dataset and serves it exactly as the
-// adopting InMemorySource does (addressable, appendable), except that
-// AppendSeries blocks before growing the collection until Release() is
-// called. A test can thus hold an Engine::Append in flight, with the
-// engine's append-side locks taken, and check what queries do
-// meanwhile, with no sleeps.
+// AppendLatchedSource wraps an owned source and serves it exactly as
+// the wrapped source does (every virtual forwards, so an in-memory
+// source stays addressable and a FileSource keeps streaming through its
+// device), except that AppendSeries blocks before growing the
+// collection until Release() is called. A test can thus hold an
+// Engine::Append in flight, with the engine's append-side locks taken,
+// and check what queries do meanwhile, with no sleeps.
 #ifndef PARISAX_TESTS_SUPPORT_APPEND_LATCHED_SOURCE_H_
 #define PARISAX_TESTS_SUPPORT_APPEND_LATCHED_SOURCE_H_
 
 #include <cstddef>
+#include <memory>
 #include <utility>
 
 #include "index/raw_source.h"
@@ -22,23 +24,38 @@ namespace testsupport {
 
 class AppendLatchedSource : public RawSeriesSource {
  public:
-  explicit AppendLatchedSource(Dataset dataset)
-      : delegate_(std::move(dataset)) {}
+  explicit AppendLatchedSource(std::unique_ptr<RawSeriesSource> delegate)
+      : delegate_(std::move(delegate)) {}
 
-  size_t count() const override { return delegate_.count(); }
-  size_t length() const override { return delegate_.length(); }
+  /// Adopts `dataset` as an in-memory source.
+  explicit AppendLatchedSource(Dataset dataset)
+      : AppendLatchedSource(
+            std::make_unique<InMemorySource>(std::move(dataset))) {}
+
+  size_t count() const override { return delegate_->count(); }
+  size_t length() const override { return delegate_->length(); }
 
   Status GetSeries(SeriesId id, Value* out) const override {
-    return delegate_.GetSeries(id, out);
+    return delegate_->GetSeries(id, out);
   }
   SeriesView TryView(SeriesId id) const override {
-    return delegate_.TryView(id);
+    return delegate_->TryView(id);
   }
   const Value* ContiguousData() const override {
-    return delegate_.ContiguousData();
+    return delegate_->ContiguousData();
+  }
+  Result<std::unique_ptr<SeriesStream>> OpenStream(
+      size_t batch_series) const override {
+    return delegate_->OpenStream(batch_series);
+  }
+  bool PrefersSequentialAccess() const override {
+    return delegate_->PrefersSequentialAccess();
+  }
+  bool MetersRandomReads() const override {
+    return delegate_->MetersRandomReads();
   }
 
-  bool appendable() const override { return true; }
+  bool appendable() const override { return delegate_->appendable(); }
   Status AppendSeries(const Value* values, size_t count) override {
     {
       MutexLock lock(&mu_);
@@ -46,7 +63,7 @@ class AppendLatchedSource : public RawSeriesSource {
       cv_.NotifyAll();
       while (!released_) cv_.Wait(mu_);
     }
-    return delegate_.AppendSeries(values, count);
+    return delegate_->AppendSeries(values, count);
   }
 
   /// Blocks until an append has parked.
@@ -63,7 +80,7 @@ class AppendLatchedSource : public RawSeriesSource {
   }
 
  private:
-  InMemorySource delegate_;
+  const std::unique_ptr<RawSeriesSource> delegate_;
   mutable Mutex mu_{"AppendLatchedSource::mu_", LockRank::kLeaf};
   mutable CondVar cv_;
   bool parked_ PARISAX_GUARDED_BY(mu_) = false;
