@@ -21,10 +21,10 @@ Result<std::unique_ptr<MmapSource>> MmapSource::Open(
 }
 
 Status MmapSource::GetSeries(SeriesId id, Value* out) const {
-  if (id >= info_.count) {
+  if (id >= count()) {
     return Status::InvalidArgument("series id out of range");
   }
-  std::memcpy(out, values_ + static_cast<size_t>(id) * info_.length,
+  std::memcpy(out, Values() + static_cast<size_t>(id) * info_.length,
               static_cast<size_t>(info_.length) * sizeof(Value));
   return Status::OK();
 }
@@ -36,12 +36,14 @@ Status MmapSource::AppendSeries(const Value* values, size_t count) {
   // into it stay valid — the appended bytes and the patched header lie
   // outside the data region those views cover — so the engine's
   // append path never invalidates a pinned raw view. A failed append
-  // leaves the source untouched.
+  // leaves the source untouched. Appends are serialized by the caller;
+  // readers load only count_ and then values_.
   const std::string path = file_->path();
-  PARISAX_RETURN_IF_ERROR(AppendToDatasetFile(path, values, count, info_));
+  DatasetFileInfo info = info_;
+  info.count = count_.load();
+  PARISAX_RETURN_IF_ERROR(AppendToDatasetFile(path, values, count, info));
   std::unique_ptr<MmapFile> grown;
   PARISAX_ASSIGN_OR_RETURN(grown, MmapFile::Open(path));
-  DatasetFileInfo info = info_;
   info.count += count;
   if (grown->size() != info.FileBytes()) {
     return Status::Corruption(
@@ -49,9 +51,9 @@ Status MmapSource::AppendSeries(const Value* values, size_t count) {
   }
   retired_.push_back(std::move(file_));
   file_ = std::move(grown);
-  info_ = info;
-  values_ =
-      reinterpret_cast<const Value*>(file_->data() + kDatasetHeaderBytes);
+  values_.store(
+      reinterpret_cast<const Value*>(file_->data() + kDatasetHeaderBytes));
+  count_.store(info.count);
   return Status::OK();
 }
 

@@ -32,11 +32,11 @@ constexpr uint32_t kNodesPerCancelPoll = 64;
 /// several calls.
 constexpr size_t kEntryBlock = 128;
 
-/// Items at the front of each run that Stage 3a orders by bound. The
-/// rest of the run, its tail, stays in traversal order: on 50k seismic
-/// series (w = 16) a head of 256 refined as many real distances as a
-/// fully sorted run, without the sort's cost (docs/architecture.md,
-/// "Stage 3 work distribution").
+/// Items at the front of each run that Stage 3a orders by (bound, tie
+/// key, position). The rest of the run, its tail, stays in traversal
+/// order: on 50k seismic series (w = 16) a head of 256 refined as many
+/// real distances as a fully sorted run, without the sort's cost
+/// (docs/architecture.md, "Stage 3 work distribution").
 constexpr size_t kHeadItems = 256;
 
 /// How far ahead of the root being traversed (3a) and of the item being
@@ -50,15 +50,26 @@ constexpr size_t kItemPrefetch = 4;
 /// valid.
 struct RunItem {
   float lb = 0.0f;
-  /// Index in the run when 3a appended it: the head's tie-break, which
+  /// The policy's tie key for the leaf: orders leaves of equal bound in
+  /// the head (Policy::TieKey).
+  float key = 0.0f;
+  /// Index in the run when 3a appended it: the last tie-break, which
   /// makes an inline search's order deterministic.
   uint32_t position = 0;
+  /// A leaf holds at most a few hundred entries.
+  uint32_t count = 0;
   const LeafEntry* entries = nullptr;
-  size_t count = 0;
 };
+// Kept at 24 bytes: a 32-byte item made inline seismic ED queries 4-27%
+// slower (4 alternated runs).
+static_assert(sizeof(RunItem) == 24);
 
+/// Orders by bound first, so an item's bound is at least that of every
+/// item before it in a sorted head: the 3b head stop depends on it.
 bool RunItemLess(const RunItem& a, const RunItem& b) {
-  return a.lb < b.lb || (a.lb == b.lb && a.position < b.position);
+  if (a.lb != b.lb) return a.lb < b.lb;
+  if (a.key != b.key) return a.key < b.key;
+  return a.position < b.position;
 }
 
 /// One worker's Stage-3a survivors. Only its owner appends, so 3a takes
@@ -100,10 +111,12 @@ std::vector<Node*> CollectRoots(const ServingState& snap) {
 
 /// Stage 3 of the ED-NN, ED-kNN and DTW-NN searches over the merged
 /// root forest of one serving snapshot. `Policy` supplies the pruning
-/// bound, the node/entry lower bounds and the entry refinement:
+/// bound, the node/entry lower bounds, the head's tie key for a leaf
+/// that survives 3a, and the entry refinement:
 ///   const MinDistTable* lbs;  // entry bounds, batched per claimed leaf
 ///   float Bound() const;
 ///   float NodeLb(const Node&) const;
+///   float TieKey(const Node& leaf) const;
 ///   void ProcessEntry(const LeafEntry&, float lb, QueryStats*, int worker);
 /// Everything mutable lives in the policy or on this stack frame, so any
 /// number of searches can run concurrently on different executors.
@@ -155,8 +168,10 @@ void RunStage3(const std::vector<Node*>& roots, Policy* policy,
               const std::vector<LeafEntry>& entries = node->entries();
               if (entries.empty()) continue;
               run.items.push_back(
-                  RunItem{lb, static_cast<uint32_t>(run.items.size()),
-                          entries.data(), entries.size()});
+                  RunItem{lb, policy->TieKey(*node),
+                          static_cast<uint32_t>(run.items.size()),
+                          static_cast<uint32_t>(entries.size()),
+                          entries.data()});
             } else {
               stack.push_back(node->child(0));
               stack.push_back(node->child(1));
@@ -231,6 +246,9 @@ struct EdNnPolicy {
 
   float NodeLb(const Node& node) const { return lbs->ToWordSq(node.word()); }
 
+  /// The bound already separates leaves; ties keep traversal order.
+  float TieKey(const Node& /*leaf*/) const { return 0.0f; }
+
   void ProcessEntry(const LeafEntry& e, float lb, QueryStats* counts,
                     int /*worker*/) {
     counts->lb_checks++;
@@ -255,6 +273,8 @@ struct EdKnnPolicy {
 
   float NodeLb(const Node& node) const { return lbs->ToWordSq(node.word()); }
 
+  float TieKey(const Node& /*leaf*/) const { return 0.0f; }
+
   void ProcessEntry(const LeafEntry& e, float lb, QueryStats* counts,
                     int /*worker*/) {
     counts->lb_checks++;
@@ -274,6 +294,8 @@ struct DtwNnPolicy {
   RawDataView raw;
   /// Envelope-PAA bounds (the MinDistEnvelopePaaTo* form).
   const MinDistTable* lbs;
+  /// ED bounds against the query's own PAA: the head's tie key.
+  const MinDistTable* ed_lbs;
   const std::vector<Value>* env_lower;
   const std::vector<Value>* env_upper;
   size_t band;
@@ -287,6 +309,14 @@ struct DtwNnPolicy {
   float Bound() const { return result->Bound(); }
 
   float NodeLb(const Node& node) const { return lbs->ToWordSq(node.word()); }
+
+  /// The envelope bound is 0 for nearly every leaf of a poorly pruning
+  /// collection (98% on 50k seismic series), so the head would refine
+  /// tied leaves in traversal order; among them, a leaf close to the
+  /// query in ED is likely close in DTW and lowers the BSF early.
+  float TieKey(const Node& leaf) const {
+    return ed_lbs->ToWordSq(leaf.word());
+  }
 
   void ProcessEntry(const LeafEntry& e, float lb, QueryStats* counts,
                     int worker) {
@@ -537,8 +567,10 @@ Result<Neighbor> MessiIndex::SearchExactDtw(SeriesView query,
 
   BestNeighbor result(seed);
   const MinDistTable lbs(env_lower_paa, env_upper_paa, w, n);
-  DtwNnPolicy policy{snap->raw,        &lbs,  &env_lower, &env_upper,
-                     options.dtw_band, query, &result,    &scratches};
+  const MinDistTable ed_lbs(paa, paa, w, n);
+  DtwNnPolicy policy{snap->raw,  &lbs,  &ed_lbs, &env_lower,
+                     &env_upper, options.dtw_band, query, &result,
+                     &scratches};
   const std::vector<Node*> roots = CollectRoots(*snap);
   RunStage3(roots, &policy, exec, stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();

@@ -10,9 +10,13 @@
 //
 // Query answering (Stage 3): seed the BSF from the approximate-match
 // leaf. In Stage 3a workers traverse root subtrees, pruning with mindist
-// against the BSF, and each appends every surviving leaf (its bound and
-// entries) to a run of its own, with no lock; it then orders only the
-// 256 smallest bounds of its run, the head. In Stage 3b workers claim
+// against the BSF, and each appends every surviving leaf (its bound, a
+// tie key and its entries) to a run of its own, with no lock; it then
+// orders only the 256 smallest items of its run, the head, by (bound,
+// tie key, position). The tie key is 0 for the ED searches; for DTW it
+// is the leaf's ED bound against the query's own PAA, since the
+// envelope bound is 0 for nearly every leaf of poorly pruning data and
+// a leaf close in ED lowers the BSF early. In Stage 3b workers claim
 // items by Fetch&Inc, first from their own run and then from the
 // others'. A worker leaves a run at the first head item whose bound has
 // reached the BSF and skips a tail item whose bound has; every other

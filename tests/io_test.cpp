@@ -15,6 +15,7 @@
 #include "index/raw_source.h"
 #include "io/format.h"
 #include "io/generator.h"
+#include "io/mmap_source.h"
 #include "io/reader.h"
 #include "io/sim_disk.h"
 #include "util/threading.h"
@@ -550,6 +551,67 @@ TEST(FileSourceTest, AppendToAChangedFileIsCorruption) {
   std::vector<Value> buf(kLength);
   EXPECT_FALSE((*source)->GetSeries(100, buf.data()).ok());
   std::remove(replaced.c_str());
+}
+
+// --- mmap source ------------------------------------------------------------
+
+// An MmapSource maps the grown file anew on every append and keeps the
+// old mappings. Reader threads call GetSeries on old rows, and on the
+// newest row the count admits, while the main thread appends: no read
+// may fail or return other values, and under ThreadSanitizer no read may
+// race the append's swap of the mapping and the count.
+TEST(MmapSourceTest, ReadsRunWhileAppendsRemap) {
+  constexpr size_t kLength = 32, kOld = 200, kBatch = 50, kBatches = 4;
+  const Dataset data = SmallDataset(kOld + kBatch * kBatches, kLength, 7);
+  const std::string path = TempPath("mmap_source_grow.psax");
+  ASSERT_TRUE(WriteDataset(Rows(data, 0, kOld), path).ok());
+  auto opened = MmapSource::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  MmapSource* source = opened->get();
+  const Value* const first_mapping = source->ContiguousData();
+
+  const auto matches = [&](SeriesId id, const std::vector<Value>& got) {
+    const SeriesView want = data.series(id);
+    return std::equal(want.begin(), want.end(), got.begin());
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::atomic<uint64_t> bad_reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<Value> out(kLength);
+      for (SeriesId i = r; !stop.load(std::memory_order_acquire); ++i) {
+        const SeriesId newest = source->count() - 1;
+        for (const SeriesId id : {i % kOld, newest}) {
+          const Status st = source->GetSeries(id, out.data());
+          if (!st.ok() || !matches(id, out)) bad_reads.fetch_add(1);
+        }
+        if (i == static_cast<SeriesId>(r)) started.fetch_add(1);
+      }
+    });
+  }
+  // Append only once every reader is reading.
+  while (started.load() < 3) std::this_thread::yield();
+  std::vector<Value> buf(kLength);
+  for (size_t b = 0; b < kBatches; ++b) {
+    const size_t first = kOld + b * kBatch;
+    const Dataset batch = Rows(data, first, kBatch);
+    // EXPECT only while the readers run: they must be joined below.
+    const Status appended = source->AppendSeries(batch.raw(), kBatch);
+    EXPECT_TRUE(appended.ok()) << appended.ToString();
+    EXPECT_EQ(source->count(), first + kBatch);
+    EXPECT_TRUE(source->GetSeries(first + kBatch - 1, buf.data()).ok());
+    EXPECT_TRUE(matches(first + kBatch - 1, buf));
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(bad_reads.load(), 0u);
+  // A view taken before the appends still reads the old rows.
+  EXPECT_TRUE(std::equal(first_mapping, first_mapping + kOld * kLength,
+                         data.raw()));
+  std::remove(path.c_str());
 }
 
 // --- buffered reader --------------------------------------------------------

@@ -1,9 +1,9 @@
 // Tests for MESSI: build equivalence across worker counts and buffer
 // strategies (footnote-2 ablation), a tree independent of the build
 // schedule, query correctness inline and on pools
-// of several sizes, Stage-3 counts under parallel workers, the leaves and
-// real distances the leaf runs refine, pruning statistics, and the iSAX
-// buffer set.
+// of several sizes (DTW also where the neighbor is far in ED), Stage-3
+// counts under parallel workers, the leaves and real distances the leaf
+// runs refine, pruning statistics, and the iSAX buffer set.
 #include "messi/messi_index.h"
 
 #include <gtest/gtest.h>
@@ -17,12 +17,14 @@
 #include <vector>
 
 #include "dist/dtw.h"
+#include "dist/znorm.h"
 #include "index/ads_index.h"
 #include "io/generator.h"
 #include "messi/isax_buffers.h"
 #include "sax/mindist.h"
 #include "sax/paa.h"
 #include "scan/ucr_scan.h"
+#include "util/rng.h"
 
 namespace parisax {
 namespace {
@@ -359,11 +361,19 @@ TEST(MessiTest, LeafRunsRefineBetweenAnswerAndSeedBounds) {
   // survivors, stop short of them on some query, and on seismic data
   // compute real distances within a small factor of the entries bounded
   // below the answer (an unordered head computed about 7 times more on
-  // bench/suite's seismic collection).
+  // bench/suite's seismic collection). For DTW the entries that must
+  // reach the real distance are those whose full LB_Keogh lies below
+  // the answer. The envelope bound is 0 for nearly every seismic leaf,
+  // so the DTW head is ordered by its tie key, the leaf's ED bound;
+  // ordered by position among the ties, it computed up to 8.5 DTW
+  // distances per such entry here.
   constexpr size_t kCount = 20000, kLength = 128, kQueries = 8, kK = 10;
   // Calibrated on this fixture: the seismic ED queries refine at most
-  // 1.29 real distances per entry bounded below the answer (9 for 7).
+  // 1.29 real distances per entry bounded below the answer (9 for 7),
+  // and the seismic DTW queries at most 1.08 per entry whose LB_Keogh
+  // lies below the answer.
   constexpr double kRealPerEntryBelow = 1.5;
+  constexpr double kDtwPerKeoghBelow = 1.25;
   constexpr float kInf = std::numeric_limits<float>::infinity();
   InlineExecutor inline_exec;
   ThreadPool build_pool(4);
@@ -393,10 +403,14 @@ TEST(MessiTest, LeafRunsRefineBetweenAnswerAndSeedBounds) {
     const SaxTree& tree = (*index)->tree();
     const int w = build.tree.segments;
 
+    // `keogh_below` (DTW only): the entries whose full LB_Keogh lies
+    // below the answer. LB_Keogh, not the entry bound, decides which DTW
+    // candidates reach the real distance.
     const auto check = [&](int search, const QueryStats& stats,
                            const MinDistTable& lbs, float answer,
                            float seed, uint64_t probe_leaves,
-                           uint64_t seed_dists, size_t q) {
+                           uint64_t seed_dists, size_t q,
+                           uint64_t keogh_below = 0) {
       const std::string where = std::string(DatasetKindName(kind)) + " " +
                                 kSearches[search] +
                                 " q=" + std::to_string(q);
@@ -405,16 +419,14 @@ TEST(MessiTest, LeafRunsRefineBetweenAnswerAndSeedBounds) {
       EXPECT_GE(refined, b.leaves_below_answer) << where;
       EXPECT_LE(refined, b.survivors) << where;
       if (refined < b.survivors) stopped_short[search]++;
-      // LB_Keogh, not the entry bound, decides which DTW candidates
-      // reach the real distance.
-      if (search == 2) return;
+      const bool dtw = search == 2;
+      const uint64_t below = dtw ? keogh_below : b.entries_below_answer;
       const uint64_t refined_dists = stats.real_dist_calcs - seed_dists;
-      EXPECT_GE(refined_dists, b.entries_below_answer) << where;
+      EXPECT_GE(refined_dists, below) << where;
       if (seismic) {
         EXPECT_LE(static_cast<double>(refined_dists),
-                  kRealPerEntryBelow * b.entries_below_answer)
-            << where << " entries below the answer "
-            << b.entries_below_answer;
+                  (dtw ? kDtwPerKeoghBelow : kRealPerEntryBelow) * below)
+            << where << " entries below the answer " << below;
       }
     };
 
@@ -470,14 +482,66 @@ TEST(MessiTest, LeafRunsRefineBetweenAnswerAndSeedBounds) {
       auto dtw =
           (*index)->SearchExactDtw(query, qopts, &inline_exec, &dtw_stats);
       ASSERT_TRUE(dtw.ok());
+      uint64_t keogh_below = 0;
+      for (SeriesId id = 0; id < kCount; ++id) {
+        keogh_below += LbKeoghSq(env_lower, env_upper, data.series(id),
+                                 kInf) < dtw->distance_sq;
+      }
       check(2, dtw_stats, dtw_lbs, dtw->distance_sq, dtw_seed, 0,
-            seed_dists, q);
+            seed_dists, q, keogh_below);
     }
   }
   // On seismic data the 10-NN and DTW answers lie above nearly every
   // leaf bound, so only random walks can show those searches stopping.
   for (int search = 0; search < 3; ++search) {
     EXPECT_GT(stopped_short[search], 0) << kSearches[search];
+  }
+}
+
+// Random walks plus copies of each query shifted by 3, 6 and 10 points
+// with a little noise: the DTW neighbor is usually a shifted copy, and
+// the larger shifts are far from the query in ED. A DTW search that let
+// the leaves' ED bounds order its head ahead of their DTW bounds can
+// stop before reaching it (inline, it does on one query here). Every
+// executor must return the brute-force neighbor at the same float.
+TEST(MessiTest, DtwFindsShiftedCopiesFarInEd) {
+  constexpr size_t kCount = 4000, kLength = 128, kQueries = 40;
+  constexpr size_t kShifts[] = {3, 6, 10};
+  constexpr double kNoise = 0.1;
+  Dataset data = MakeData(kCount, kLength, 83);
+  const Dataset queries =
+      GenerateQueries(DatasetKind::kRandomWalk, kQueries, kLength, 83);
+  Rng rng(83);
+  Dataset copy(1, kLength);
+  for (size_t q = 0; q < kQueries; ++q) {
+    const SeriesView query = queries.series(q);
+    for (const size_t shift : kShifts) {
+      MutableSeriesView out = copy.mutable_series(0);
+      for (size_t i = 0; i < kLength; ++i) {
+        out[i] = query[i >= shift ? i - shift : 0] +
+                 static_cast<Value>(kNoise * rng.NextGaussian());
+      }
+      ZNormalize(out);
+      data.Append(copy.raw(), 1);
+    }
+  }
+  ThreadPool build_pool(4);
+  MessiBuildOptions build;
+  build.tree.series_length = kLength;
+  auto index = MessiIndex::Build(Mem(data), build, &build_pool);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const InMemorySource source(&data);
+  const MessiQueryOptions qopts;
+  const auto execs = Executors();
+  for (size_t q = 0; q < kQueries; ++q) {
+    const SeriesView query = queries.series(q);
+    const Neighbor oracle = BruteForceDtwNn(source, query, qopts.dtw_band);
+    for (const auto& exec : execs) {
+      auto got = (*index)->SearchExactDtw(query, qopts, exec.get());
+      ASSERT_TRUE(got.ok());
+      ExpectSameNeighbors({oracle}, {*got},
+                          "q=" + std::to_string(q) + " " + ExecName(*exec));
+    }
   }
 }
 
