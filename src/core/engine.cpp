@@ -35,15 +35,7 @@ Result<Algorithm> ParseAlgorithm(const std::string& name) {
 }
 
 const char* SchedulingPolicyName(SchedulingPolicy policy) {
-  switch (policy) {
-    case SchedulingPolicy::kThroughput:
-      return "throughput";
-    case SchedulingPolicy::kLatency:
-      return "latency";
-    case SchedulingPolicy::kAuto:
-      return "auto";
-  }
-  return "unknown";
+  return policy == SchedulingPolicy::kAuto ? "auto" : "unknown";
 }
 
 const EngineCapabilities& AlgorithmCapabilities(Algorithm algorithm) {
@@ -180,18 +172,15 @@ const char* SpecDescription(bool addressable, bool borrowed, bool mmap) {
 
 }  // namespace
 
-Engine::Engine(const EngineOptions& options) : options_(options) {
-  pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-}
+Engine::Engine(const EngineOptions& options) : options_(options) {}
 
 Engine::~Engine() {
   // The compactor references the indexes and append_mu_; stop it before
   // anything it touches goes away.
   StopCompactor();
-  // The service's workers reference the indexes and the pool, and some
-  // members (the wrapped indexes) are declared after service_ and would
-  // otherwise be destroyed first; stop the workers before any of them
-  // goes away.
+  // The service's workers reference the indexes, which are declared
+  // after service_ and would otherwise be destroyed first; stop the
+  // workers before they go away.
   service_.reset();
 }
 
@@ -301,9 +290,9 @@ Result<std::unique_ptr<Engine>> Engine::Build(SourceSpec spec,
       build.num_workers = opts.num_threads;
       build.chunk_series = opts.chunk_series;
       build.tree = opts.tree;
+      ThreadPool pool(opts.num_threads);
       PARISAX_ASSIGN_OR_RETURN(
-          engine->messi_,
-          MessiIndex::Build(std::move(source), build, engine->pool_.get()));
+          engine->messi_, MessiIndex::Build(std::move(source), build, &pool));
       engine->index_ = engine->messi_.get();
       const MessiBuildStats& bs = engine->messi_->build_stats();
       details << "messi build, summarize=" << bs.summarize_wall_seconds
@@ -366,20 +355,19 @@ Result<std::unique_ptr<Engine>> Engine::OpenInternal(
 
   WallTimer wall;
   std::ostringstream details;
+  ThreadPool pool(opts.num_threads);
   switch (info.kind) {
     case SnapshotKind::kMessi: {
       PARISAX_ASSIGN_OR_RETURN(
           engine->messi_,
-          LoadMessiIndex(snapshot_path, std::move(source),
-                         engine->pool_.get()));
+          LoadMessiIndex(snapshot_path, std::move(source), &pool));
       engine->index_ = engine->messi_.get();
       break;
     }
     case SnapshotKind::kParis: {
       PARISAX_ASSIGN_OR_RETURN(
           engine->paris_,
-          LoadParisIndex(snapshot_path, std::move(source),
-                         engine->pool_.get()));
+          LoadParisIndex(snapshot_path, std::move(source), &pool));
       engine->index_ = engine->paris_.get();
       break;
     }
@@ -416,11 +404,11 @@ Result<std::unique_ptr<Engine>> Engine::OpenInternal(
 
 Status Engine::Save(const std::string& snapshot_path) {
   // append_mu_ freezes the serving snapshot (appends, compactor passes
-  // and other saves all hold it) and guards the lineage; pool_mu_ covers
-  // the serialization fan-out on the shared pool. Queries keep running
-  // throughout — they hold neither lock.
+  // and other saves all hold it) and guards the lineage. The
+  // serialization fans out on a pool of the call's own. Queries keep
+  // running throughout — they never take the lock.
   MutexLock append_lock(&append_mu_);
-  MutexLock pool_lock(&pool_mu_);
+  ThreadPool pool(options_.num_threads);
 
   const auto snap = index_->serving();
 
@@ -442,8 +430,7 @@ Status Engine::Save(const std::string& snapshot_path) {
       !PathIsInLineageChain(snapshot_path)) {
     std::shared_ptr<const Segment> delta;
     PARISAX_ASSIGN_OR_RETURN(
-        delta, index_->DeltaSegment(snap, lineage_->head_series_count,
-                                    pool_.get()));
+        delta, index_->DeltaSegment(snap, lineage_->head_series_count, &pool));
     SnapshotDeltaSaveOptions dopts;
     dopts.algorithm = static_cast<uint8_t>(options_.algorithm);
     dopts.base_path = lineage_->head_path;
@@ -451,10 +438,10 @@ Status Engine::Save(const std::string& snapshot_path) {
     dopts.prev_series_count = lineage_->head_series_count;
     dopts.chain_depth = lineage_->head_depth + 1;
     PARISAX_RETURN_IF_ERROR(SaveSegmentDelta(
-        SnapshotKindOf(*index_), *delta, snapshot_path, pool_.get(), dopts));
+        SnapshotKindOf(*index_), *delta, snapshot_path, &pool, dopts));
     return AdoptLineageHead(snapshot_path);
   }
-  return SaveFullLocked(snapshot_path);
+  return SaveFullLocked(snapshot_path, &pool);
 }
 
 Status Engine::Compact(const std::string& snapshot_path) {
@@ -462,14 +449,14 @@ Status Engine::Compact(const std::string& snapshot_path) {
   // every subtree, so the previous chain files are no longer needed to
   // restore this engine.
   MutexLock append_lock(&append_mu_);
-  MutexLock pool_lock(&pool_mu_);
-  return SaveFullLocked(snapshot_path);
+  ThreadPool pool(options_.num_threads);
+  return SaveFullLocked(snapshot_path, &pool);
 }
 
-Status Engine::FoldAllLocked() {
+Status Engine::FoldAllLocked(ThreadPool* pool) {
   // Full snapshots serialize the base only, so every live segment folds
   // in first. Caller holds append_mu_ (no concurrent publication, so
-  // the compare-and-publish folds cannot be discarded) and pool_mu_.
+  // the compare-and-publish folds cannot be discarded).
   // Queries keep the snapshot they captured: the fold only reads the
   // old base, its leaf chunks included (LeafStorage::ReadChunk is a
   // pread).
@@ -478,8 +465,7 @@ Status Engine::FoldAllLocked() {
     if (snap->segments.empty()) return Status::OK();
     bool folded = false;
     PARISAX_ASSIGN_OR_RETURN(
-        folded,
-        index_->FoldSegments(snap, snap->segments.size(), pool_.get()));
+        folded, index_->FoldSegments(snap, snap->segments.size(), pool));
     if (!folded) {
       return Status::Internal(
           "fold discarded while the append mutex was held");
@@ -488,12 +474,12 @@ Status Engine::FoldAllLocked() {
   }
 }
 
-Status Engine::SaveFullLocked(const std::string& snapshot_path) {
-  PARISAX_RETURN_IF_ERROR(FoldAllLocked());
+Status Engine::SaveFullLocked(const std::string& snapshot_path,
+                              ThreadPool* pool) {
+  PARISAX_RETURN_IF_ERROR(FoldAllLocked(pool));
   SnapshotSaveOptions sopts;
   sopts.algorithm = static_cast<uint8_t>(options_.algorithm);
-  PARISAX_RETURN_IF_ERROR(
-      SaveIndex(*index_, snapshot_path, pool_.get(), sopts));
+  PARISAX_RETURN_IF_ERROR(SaveIndex(*index_, snapshot_path, pool, sopts));
   return AdoptLineageHead(snapshot_path);
 }
 
@@ -606,11 +592,7 @@ Status Engine::CheckQuery(SeriesView query,
 
 Result<SearchResponse> Engine::Search(SeriesView query,
                                       const SearchRequest& request) {
-  // Every exact path fans out over the shared pool, so it holds
-  // pool_mu_; the approximate leaf probe does not fan out.
-  if (request.approximate) return Search(query, request, pool_.get());
-  MutexLock lock(&pool_mu_);
-  return Search(query, request, pool_.get());
+  return Submit(query, request).get();
 }
 
 Result<SearchResponse> Engine::Search(SeriesView query,
@@ -828,7 +810,6 @@ QueryService* Engine::query_service() {
   if (service_ == nullptr) {
     QueryServiceOptions sopts;
     sopts.num_threads = options_.num_threads;
-    sopts.policy = SchedulingPolicy::kAuto;
     // Engine options were validated at build time, so Create cannot
     // fail here.
     service_ = std::move(QueryService::Create(this, sopts).value());

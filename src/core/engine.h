@@ -73,23 +73,15 @@ const char* AlgorithmName(Algorithm algorithm);
 /// Parses a name produced by AlgorithmName.
 Result<Algorithm> ParseAlgorithm(const std::string& name);
 
-/// How the serve layer schedules concurrent queries over the shared
-/// worker pool (see serve/query_service.h).
+/// How the serve layer schedules queries over its workers (see
+/// serve/query_service.h). One policy is left: an exact query alone in
+/// flight fans out over the worker that took it and the idle ones, and
+/// every other query runs whole-query-per-worker.
 enum class SchedulingPolicy {
-  /// Whole-query-per-worker: each query runs serially on one serve
-  /// worker, many queries in flight at once. Maximizes queries/sec.
-  kThroughput,
-  /// Every query fans out over the full thread pool (the paper's
-  /// intra-query parallelism); queries are serialized on the pool.
-  /// Minimizes single-query latency.
-  kLatency,
-  /// Per-query choice by a cost heuristic: an expensive query takes the
-  /// parallel path when it is the only query in flight, everything else
-  /// runs whole-query-per-worker.
   kAuto,
 };
 
-/// Short lowercase name ("throughput", "latency", "auto").
+/// Short lowercase name ("auto").
 const char* SchedulingPolicyName(SchedulingPolicy policy);
 
 /// What an engine can do: one static table per algorithm (see
@@ -150,7 +142,9 @@ bool CanBuildOver(Algorithm algorithm, SourceResidency residency);
 
 struct EngineOptions {
   Algorithm algorithm = Algorithm::kMessi;
-  /// Worker threads for parallel builds and queries.
+  /// Worker threads for parallel builds, restores, saves and
+  /// compactions (a pool per call), and the serve workers of the
+  /// engine's own query service.
   int num_threads = 4;
   /// Index shape (segments, leaf capacity). `tree.series_length == 0`
   /// means "take it from the data".
@@ -384,16 +378,18 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Answers one similarity-search query with the engine's own thread
-  /// pool. Thread-safe: concurrent calls serialize on the pool (use the
-  /// serve layer — Submit/SearchBatch — to actually overlap queries).
+  /// Answers one similarity-search query through the engine's query
+  /// service: Submit(query, request).get(). A lone caller's exact query
+  /// fans out over the service's workers; concurrent callers' queries
+  /// overlap, each on its own worker. Not to be called from inside a
+  /// query running on that service.
   Result<SearchResponse> Search(SeriesView query,
                                 const SearchRequest& request = {});
 
-  /// Answers one query on the given executor instead of the engine's
-  /// pool. Re-entrant: any number of calls may run concurrently as long
-  /// as each uses its own executor (e.g. per-thread InlineExecutors).
-  /// The caller is responsible for the executor's own concurrency rules.
+  /// Answers one query on the calling thread and the given executor.
+  /// Re-entrant: any number of calls may run concurrently as long as
+  /// each uses its own executor (e.g. per-thread InlineExecutors). The
+  /// caller is responsible for the executor's own concurrency rules.
   Result<SearchResponse> Search(SeriesView query, const SearchRequest& request,
                                 Executor* exec);
 
@@ -416,7 +412,7 @@ class Engine {
       const SearchRequest& request = {});
 
   /// The engine's query service, created on first use (num_threads
-  /// serve workers, kAuto scheduling). Never null.
+  /// serve workers). Never null.
   QueryService* query_service();
 
   /// What this engine supports: the algorithm's table narrowed by the
@@ -449,10 +445,9 @@ class Engine {
 
   /// Points per series in the indexed collection.
   size_t series_length() const { return series_length_; }
-  /// Series in the indexed collection (serve-layer cost heuristics).
-  /// Grows under Append; safe to read concurrently. Never below the
-  /// collection any answered query saw: the serving dock stores the
-  /// count with each publication.
+  /// Series in the indexed collection. Grows under Append; safe to
+  /// read concurrently. Never below the collection any answered query
+  /// saw: the serving dock stores the count with each publication.
   size_t series_count() const { return index_->series_count(); }
 
  private:
@@ -464,13 +459,13 @@ class Engine {
 
   Status CheckQuery(SeriesView query, const SearchRequest& request) const;
 
-  /// Fold-every-segment + full snapshot + lineage reset; caller holds
-  /// append_mu_ and pool_mu_.
-  Status SaveFullLocked(const std::string& snapshot_path)
-      PARISAX_REQUIRES(append_mu_, pool_mu_);
-  /// Folds every live segment into the base index on the pool; caller
-  /// holds append_mu_ and pool_mu_. Queries keep running.
-  Status FoldAllLocked() PARISAX_REQUIRES(append_mu_, pool_mu_);
+  /// Fold-every-segment + full snapshot + lineage reset on the call's
+  /// `pool`; caller holds append_mu_.
+  Status SaveFullLocked(const std::string& snapshot_path, ThreadPool* pool)
+      PARISAX_REQUIRES(append_mu_);
+  /// Folds every live segment into the base index on `pool`; caller
+  /// holds append_mu_. Queries keep running.
+  Status FoldAllLocked(ThreadPool* pool) PARISAX_REQUIRES(append_mu_);
   /// True when `snapshot_path` names a file of the current on-disk
   /// chain (or the chain cannot be walked): a delta must not overwrite
   /// those. Caller holds append_mu_ and lineage_ is set.
@@ -489,26 +484,20 @@ class Engine {
   void KickCompactor() PARISAX_EXCLUDES(compactor_mu_);
   void CompactorLoop() PARISAX_EXCLUDES(compactor_mu_, append_mu_);
   /// One cost-policy pass: merge or fold the current segment run if the
-  /// trigger is met. Holds append_mu_ (so nothing else publishes) but
-  /// not pool_mu_ — queries are never blocked.
+  /// trigger is met. Holds append_mu_ (so nothing else publishes);
+  /// queries are never blocked.
   Status CompactionPass() PARISAX_EXCLUDES(append_mu_);
 
   EngineOptions options_;
   size_t series_length_ = 0;
-  std::unique_ptr<ThreadPool> pool_;
   /// The writer mutex: Append, Save, Compact and compactor passes hold
   /// it for their whole critical section, so every serving-snapshot
   /// publication is serialized and the snapshot cannot move under a
   /// Save; it also guards the snapshot lineage. Queries never take it.
-  /// Lock order: append_mu_ before pool_mu_ (ranks kEngineAppend <
-  /// kEnginePool; KickCompactor also takes compactor_mu_ under it).
+  /// Lock order: KickCompactor takes compactor_mu_ under it (ranks
+  /// kEngineAppend < kCompactor).
   Mutex append_mu_{"Engine::append_mu_", LockRank::kEngineAppend}
-      PARISAX_ACQUIRED_BEFORE(compactor_mu_, pool_mu_);
-  /// Serializes parallel regions on pool_: ThreadPool::Run is not
-  /// reentrant, so concurrent Search calls take turns on it (and Save's
-  /// serialization fan-out and the fold-all do too). Lock order: after
-  /// append_mu_.
-  Mutex pool_mu_{"Engine::pool_mu_", LockRank::kEnginePool};
+      PARISAX_ACQUIRED_BEFORE(compactor_mu_);
   std::atomic<uint64_t> append_epoch_{0};
   std::atomic<uint64_t> compaction_count_{0};
   Mutex service_mu_{"Engine::service_mu_", LockRank::kServiceInit};

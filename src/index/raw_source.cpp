@@ -106,11 +106,11 @@ Status RawSeriesSource::AppendSeries(const Value* values, size_t count) {
 }
 
 Status InMemorySource::GetSeries(SeriesId id, Value* out) const {
-  if (id >= dataset_->count()) {
+  if (id >= count()) {
     return Status::InvalidArgument("series id out of range");
   }
-  const SeriesView view = dataset_->series(id);
-  std::memcpy(out, view.data(), view.size() * sizeof(Value));
+  std::memcpy(out, Values() + static_cast<size_t>(id) * length_,
+              length_ * sizeof(Value));
   return Status::OK();
 }
 
@@ -121,6 +121,10 @@ Status InMemorySource::AppendSeries(const Value* values, size_t count) {
         "belongs to the caller); adopt it with SourceSpec::InMemory");
   }
   owned_->Append(values, count);
+  // The buffer first, then the count that covers it: a reader that
+  // loads the new count loads a buffer holding every id it admits.
+  values_.store(owned_->raw());
+  count_.store(owned_->count());
   return Status::OK();
 }
 

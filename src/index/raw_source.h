@@ -112,33 +112,48 @@ class RawSeriesSource {
 /// caller keeps alive (zero-cost wrapping for tests and benches).
 class InMemorySource : public RawSeriesSource {
  public:
-  /// Borrows: `dataset` must outlive the source.
-  explicit InMemorySource(const Dataset* dataset) : dataset_(dataset) {}
+  /// Borrows: `dataset` must outlive the source and stay unchanged.
+  explicit InMemorySource(const Dataset* dataset)
+      : length_(dataset->length()),
+        values_(dataset->raw()),
+        count_(dataset->count()) {}
 
   /// Adopts: the source owns the moved-in collection.
   explicit InMemorySource(Dataset dataset)
       : owned_(std::make_unique<Dataset>(std::move(dataset))),
-        dataset_(owned_.get()) {}
+        length_(owned_->length()),
+        values_(owned_->raw()),
+        count_(owned_->count()) {}
 
-  size_t count() const override { return dataset_->count(); }
-  size_t length() const override { return dataset_->length(); }
+  size_t count() const override { return count_.load(); }
+  size_t length() const override { return length_; }
 
   Status GetSeries(SeriesId id, Value* out) const override;
   SeriesView TryView(SeriesId id) const override {
-    return dataset_->series(id);
+    if (id >= count()) return SeriesView();
+    return SeriesView(Values() + static_cast<size_t>(id) * length_, length_);
   }
-  const Value* ContiguousData() const override { return dataset_->raw(); }
+  const Value* ContiguousData() const override { return Values(); }
 
   /// Only the adopting form can grow: a borrowed collection belongs to
   /// the caller.
   bool appendable() const override { return owned_ != nullptr; }
+  /// Readers may run concurrently with one append: an id below count()
+  /// stays readable.
   Status AppendSeries(const Value* values, size_t count) override;
 
-  const Dataset& dataset() const { return *dataset_; }
-
  private:
+  /// Loaded after count(): AppendSeries publishes the buffer before the
+  /// count that covers it, and the Dataset retires a buffer it grows
+  /// out of instead of freeing it.
+  const Value* Values() const { return values_.load(); }
+
   std::unique_ptr<Dataset> owned_;  // null when borrowing
-  const Dataset* dataset_;
+  const size_t length_;
+  /// Readers see the collection only through these two, never through
+  /// the Dataset that Append rewrites.
+  std::atomic<const Value*> values_;
+  std::atomic<size_t> count_;
 };
 
 /// Non-owning view of a contiguous row-major raw-series block. The hot

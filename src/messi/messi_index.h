@@ -107,11 +107,11 @@ class MessiIndex : public SegmentedIndex {
       std::unique_ptr<RawSeriesSource> source,
       const MessiBuildOptions& options, ThreadPool* pool);
 
-  // Query paths take an Executor rather than owning threads: pass a
-  // ThreadPool to fan one query out over every core (the paper's Stage
-  // 3, one leaf run per pool thread), or an InlineExecutor to confine it
-  // to the calling thread so many queries can run concurrently (the
-  // serve layer's throughput mode).
+  // Query paths take an Executor rather than owning threads: the serve
+  // layer's helper executor (or a ThreadPool) fans one query out over
+  // every core (the paper's Stage 3, one leaf run per executor id), and
+  // an InlineExecutor confines it to the calling thread so many queries
+  // can run concurrently. An id that never runs leaves its run empty.
   // All per-query state is local to the call (including the serving
   // snapshot it captures at entry), so any number of searches may run
   // at once as long as each executor supports it.

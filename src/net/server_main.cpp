@@ -34,9 +34,10 @@ void Usage(const char* argv0) {
       "  --seed N               generator seed (default 42)\n"
       "  --algorithm NAME       messi|paris|paris+\n"
       "                         (default messi)\n"
-      "  --build-threads N      engine threads for index construction and\n"
-      "                         intra-query parallelism (default 4)\n"
-      "  --serve-threads N      query service workers (default 4)\n"
+      "  --build-threads N      engine threads for index construction\n"
+      "                         (default 4)\n"
+      "  --serve-threads N      query service workers; also the threads a\n"
+      "                         lone query fans out over (default 4)\n"
       "  --max-inflight N       admission cap, 0 = unbounded (default 128)\n"
       "  --default-timeout-us N deadline for frames without one (default 0)\n"
       "  --max-connections N    concurrent connection cap (default 64)\n",

@@ -128,11 +128,11 @@ class ParisIndex : public SegmentedIndex {
       const ParisBuildOptions& options);
 
   /// Exact 1-NN (squared ED), parallel. `Neighbor{0, +inf}` if empty.
-  /// `exec` supplies the query's parallelism: a ThreadPool fans the
-  /// filter/refine phases out over every core, an InlineExecutor runs
-  /// the whole query on the calling thread so many queries can run
-  /// concurrently. All mutable state is per-call (including the serving
-  /// snapshot captured at entry).
+  /// `exec` supplies the query's parallelism: the serve layer's helper
+  /// executor (or a ThreadPool) fans the filter/refine phases out over
+  /// every core, an InlineExecutor runs the whole query on the calling
+  /// thread so many queries can run concurrently. All mutable state is
+  /// per-call (including the serving snapshot captured at entry).
   Result<Neighbor> SearchExact(SeriesView query,
                                const ParisQueryOptions& options,
                                Executor* exec,

@@ -298,14 +298,15 @@ ServerMetrics::ServerMetrics(MetricsRegistry* registry)
       "kDeadlineExceeded at dequeue without running.");
   query_steals_total = registry->AddCounter(
       "parisax_query_steals_total",
-      "Tasks executed by a worker other than the one they were queued "
-      "on (work stealing).");
+      "Helper joins: an idle serve worker ran its share of a lone "
+      "query's parallel phase.");
   queries_ran_inline_total = registry->AddCounter(
       "parisax_queries_ran_inline_total",
-      "Queries answered whole-query-per-worker (throughput path).");
+      "Queries answered whole-query-per-worker on one serve worker.");
   queries_ran_parallel_total = registry->AddCounter(
       "parisax_queries_ran_parallel_total",
-      "Queries answered via the intra-query parallel path.");
+      "Queries answered via the intra-query parallel path: exact "
+      "queries alone in flight, whose phases idle workers may join.");
   queries_inflight = registry->AddGauge(
       "parisax_queries_inflight",
       "Queries accepted but not yet completed.");
@@ -315,7 +316,7 @@ ServerMetrics::ServerMetrics(MetricsRegistry* registry)
       "cap when one is set).");
   queue_depth = registry->AddGauge(
       "parisax_queue_depth",
-      "Tasks sitting in serve-worker deques, not yet picked up.");
+      "Tasks sitting in the serve queue, not yet picked up.");
 
   series_count = registry->AddGauge(
       "parisax_series_count", "Series in the indexed collection.");

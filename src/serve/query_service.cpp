@@ -1,10 +1,22 @@
 #include "serve/query_service.h"
 
-#include <algorithm>
+#include <exception>
 #include <string>
 #include <utility>
 
 namespace parisax {
+
+class QueryService::HelperExecutor : public Executor {
+ public:
+  explicit HelperExecutor(QueryService* service) : service_(service) {}
+  int num_threads() const override { return service_->options_.num_threads; }
+  void Run(const std::function<void(int)>& fn) override {
+    service_->RunRegion(fn);
+  }
+
+ private:
+  QueryService* const service_;
+};
 
 Result<std::unique_ptr<QueryService>> QueryService::Create(
     Engine* engine, const QueryServiceOptions& options) {
@@ -14,18 +26,14 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
   if (options.num_threads < 1) {
     return Status::InvalidArgument("num_threads must be positive");
   }
-  if (options.parallel_cost_threshold <= 0.0) {
-    return Status::InvalidArgument(
-        "parallel_cost_threshold must be positive");
-  }
   return std::unique_ptr<QueryService>(new QueryService(engine, options));
 }
 
 QueryService::QueryService(Engine* engine, const QueryServiceOptions& options)
-    : engine_(engine), options_(options), shards_(options.num_threads) {
+    : engine_(engine), options_(options) {
   workers_.reserve(options_.num_threads);
   for (int i = 0; i < options_.num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -33,7 +41,7 @@ QueryService::~QueryService() {
   // Finish accepted work first so no promise is left unfulfilled.
   Drain();
   {
-    MutexLock lock(&wake_mu_);
+    MutexLock lock(&mu_);
     stopping_ = true;
   }
   wake_cv_.NotifyAll();
@@ -69,7 +77,7 @@ Result<std::future<Result<SearchResponse>>> QueryService::SubmitInternal(
   std::future<Result<SearchResponse>> future = task.promise.get_future();
 
   {
-    MutexLock lock(&wake_mu_);
+    MutexLock lock(&mu_);
     if (stopping_) {
       task.promise.set_value(
           Status::Internal("query service is shutting down"));
@@ -96,26 +104,10 @@ Result<std::future<Result<SearchResponse>>> QueryService::SubmitInternal(
     // Registering inside the lock orders this submission before the
     // destructor's Drain/stop sequence.
     inflight_.Add();
-    // The count rises *before* the task becomes acquirable: a worker
-    // can only fetch_sub after popping the task, and the shard mutex
-    // orders that pop after this increment, so queued_ never wraps
-    // below zero. (Incrementing under wake_mu_ also means a worker
-    // between its wait predicate and its wait cannot miss this task.)
-    // The cost is a tiny window where a woken worker finds the deque
-    // still empty and re-checks.
-    queued_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  const size_t shard =
-      next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  {
-    MutexLock lock(&shards_[shard].mu);
-    // High priority jumps the owner's line (the owner pops the front);
-    // a stealing sibling still takes the back first, which only helps.
     if (task.priority == QueryPriority::kHigh) {
-      shards_[shard].tasks.push_front(std::move(task));
+      queue_.push_front(std::move(task));
     } else {
-      shards_[shard].tasks.push_back(std::move(task));
+      queue_.push_back(std::move(task));
     }
   }
   wake_cv_.NotifyOne();
@@ -132,8 +124,15 @@ Result<std::vector<SearchResponse>> QueryService::SearchBatch(
   // Help drain instead of blocking: the calling thread is one more
   // serve lane while its batch is pending. It may also pick up other
   // clients' tasks, which only speeds the service up.
-  Task task;
-  while (TryAcquire(0, &task)) Execute(std::move(task));
+  for (;;) {
+    std::optional<Task> task;
+    {
+      MutexLock lock(&mu_);
+      task = PopLocked();
+    }
+    if (!task) break;
+    Execute(std::move(*task));
+  }
 
   std::vector<SearchResponse> responses;
   responses.reserve(queries.size());
@@ -148,71 +147,90 @@ Result<std::vector<SearchResponse>> QueryService::SearchBatch(
 void QueryService::Drain() { inflight_.Wait(); }
 
 ServeStats QueryService::stats() const {
+  size_t queued = 0;
+  {
+    MutexLock lock(&mu_);
+    queued = queue_.size();
+  }
   MutexLock lock(&stats_mu_);
   ServeStats s = stats_;
-  s.queued = queued_.load(std::memory_order_relaxed);
+  s.queued = queued;
   return s;
 }
 
-void QueryService::WorkerLoop(int worker) {
+void QueryService::WorkerLoop() {
+  uint64_t joined = 0;  // the generation of the last region joined
   for (;;) {
-    Task task;
-    if (TryAcquire(worker, &task)) {
-      Execute(std::move(task));
-      continue;
-    }
-    MutexLock lock(&wake_mu_);
-    while (!stopping_ && queued_.load(std::memory_order_relaxed) == 0) {
-      wake_cv_.Wait(wake_mu_);
-    }
-    if (stopping_ && queued_.load(std::memory_order_relaxed) == 0) return;
-  }
-}
-
-bool QueryService::TryAcquire(int worker, Task* task) {
-  const int n = static_cast<int>(shards_.size());
-  // Own deque first (front: oldest, FIFO service order) ...
-  {
-    Shard& own = shards_[worker];
-    MutexLock lock(&own.mu);
-    if (!own.tasks.empty()) {
-      *task = std::move(own.tasks.front());
-      own.tasks.pop_front();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  // ... then steal from a sibling's back, keeping contention off the
-  // owner's end of the deque.
-  for (int offset = 1; offset < n; ++offset) {
-    Shard& victim = shards_[(worker + offset) % n];
-    MutexLock lock(&victim.mu);
-    if (!victim.tasks.empty()) {
-      *task = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      {
+    std::optional<Task> task;
+    const std::function<void(int)>* fn = nullptr;
+    int id = 0;
+    {
+      MutexLock lock(&mu_);
+      while (queue_.empty() && !CanJoinLocked(joined) && !stopping_) {
+        wake_cv_.Wait(mu_);
+      }
+      // A queued task first; failing that, a share of the open region.
+      task = PopLocked();
+      if (!task) {
+        if (!CanJoinLocked(joined)) return;  // stopping, nothing queued
+        fn = region_.fn;
+        id = region_.next_id++;
+        region_.active++;
+        joined = region_.generation;
         MutexLock stats_lock(&stats_mu_);
         stats_.steals++;
       }
-      return true;
     }
+    if (task) {
+      Execute(std::move(*task));
+      continue;
+    }
+    // An exception must not end the worker; the owner rethrows it.
+    std::exception_ptr error;
+    try {
+      (*fn)(id);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    MutexLock lock(&mu_);
+    if (error && !region_.error) region_.error = error;
+    if (--region_.active == 0) region_cv_.NotifyAll();
   }
-  return false;
 }
 
-double QueryService::EstimateCost(const SearchRequest& request) const {
-  if (request.approximate) return 0.0;  // one leaf probe, always cheap
-  const double count = static_cast<double>(engine_->series_count());
-  const double length = static_cast<double>(engine_->series_length());
-  double per_candidate = length;
-  if (request.dtw) {
-    // Banded DTW costs ~ (2*band+1) cells per point instead of 1.
-    const double band_width = std::min(
-        length, static_cast<double>(2 * request.dtw_band + 1));
-    per_candidate *= band_width;
+std::optional<QueryService::Task> QueryService::PopLocked() {
+  if (queue_.empty()) return std::nullopt;
+  std::optional<Task> task(std::move(queue_.front()));
+  queue_.pop_front();
+  return task;
+}
+
+bool QueryService::CanJoinLocked(uint64_t joined) const {
+  return region_.fn != nullptr && region_.next_id < options_.num_threads &&
+         region_.generation != joined;
+}
+
+void QueryService::RunRegion(const std::function<void(int)>& fn) {
+  {
+    MutexLock lock(&mu_);
+    region_ = Region{.fn = &fn, .generation = region_.generation + 1};
   }
-  return count * per_candidate;
+  wake_cv_.NotifyAll();
+  // The region closes even when fn(0) throws: Execute catches the
+  // exception, and an open region would hand helpers a dangling fn.
+  std::exception_ptr error;
+  try {
+    fn(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    MutexLock lock(&mu_);
+    region_.fn = nullptr;
+    while (region_.active > 0) region_cv_.Wait(mu_);
+    if (!error) error = region_.error;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void QueryService::Execute(Task task) {
@@ -241,24 +259,14 @@ void QueryService::Execute(Task task) {
     return;
   }
 
+  // The paper's fan-out is for an exact query that is the only one in
+  // flight; under load every query keeps to its own worker. An empty
+  // queue is no sign of idleness: closed-loop clients keep it empty
+  // while every worker is busy.
   bool parallel = false;
-  switch (options_.policy) {
-    case SchedulingPolicy::kThroughput:
-      parallel = false;
-      break;
-    case SchedulingPolicy::kLatency:
-      parallel = true;
-      break;
-    case SchedulingPolicy::kAuto:
-      // The intra-query parallel path is for an expensive query that is
-      // the only one in flight. Under load the pool would serialize the
-      // queries, and an empty deque is no sign of idleness: closed-loop
-      // clients keep the deques empty while every worker is busy.
-      if (EstimateCost(task.request) >= options_.parallel_cost_threshold) {
-        MutexLock lock(&stats_mu_);
-        parallel = stats_.inflight == 1;
-      }
-      break;
+  if (!task.request.approximate) {
+    MutexLock lock(&stats_mu_);
+    parallel = stats_.inflight == 1;
   }
 
   const SeriesView view(task.query.data(), task.query.size());
@@ -267,7 +275,10 @@ void QueryService::Execute(Task task) {
   // submitter's future breaks and Drain blocks forever.
   Result<SearchResponse> response = [&]() -> Result<SearchResponse> {
     try {
-      if (parallel) return engine_->Search(view, task.request);
+      if (parallel) {
+        HelperExecutor helpers(this);
+        return engine_->Search(view, task.request, &helpers);
+      }
       InlineExecutor inline_exec;
       return engine_->Search(view, task.request, &inline_exec);
     } catch (const std::exception& e) {

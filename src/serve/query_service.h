@@ -3,34 +3,31 @@
 //
 // ParIS+/MESSI parallelize *one* query at a time (intra-query worker
 // fan-out); a system serving heavy traffic also needs inter-query
-// concurrency. QueryService schedules many in-flight queries over one
-// set of serve workers with a work-stealing per-query task model:
+// concurrency. QueryService provides both on one set of serve workers
+// fed by one FIFO queue:
 //
-//   kThroughput  every query runs whole-query-per-worker on a per-query
-//                InlineExecutor -- N workers answer N queries at once
-//                with zero cross-query synchronization. Maximizes
-//                queries/sec under load.
-//   kLatency     every query takes the paper's intra-query parallel
-//                path over the engine's full thread pool; queries
-//                serialize on the pool. Minimizes single-query latency.
-//   kAuto        per-query choice: a query whose estimated cost clears
-//                `parallel_cost_threshold` runs the parallel path when
-//                it is the only query in flight (nothing queued, nothing
-//                else executing); everything else runs
-//                whole-query-per-worker.
+//   - An exact query that is alone in flight (nothing queued, nothing
+//     else executing) runs the paper's fan-out: its parallel phases run
+//     on the worker that took it, and every idle worker joins them.
+//   - Every other query runs whole-query-per-worker on an
+//     InlineExecutor: N workers answer N queries at once with no
+//     cross-query synchronization.
 //
-// Submitted tasks land in per-worker deques; an idle worker first drains
-// its own deque, then steals from its siblings, so bursty clients cannot
-// strand work behind a slow queue. A thread blocked in SearchBatch helps
-// execute its own batch instead of just waiting.
+// A worker takes a queued task before it joins a phase, so a query that
+// arrives during a lone query's phase waits at most until one helper
+// runs out of work in that phase (and then runs inline: two are now in
+// flight). A thread blocked in SearchBatch helps execute pending tasks
+// instead of just waiting.
 #ifndef PARISAX_SERVE_QUERY_SERVICE_H_
 #define PARISAX_SERVE_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -44,18 +41,11 @@
 namespace parisax {
 
 struct QueryServiceOptions {
-  /// Serve workers (concurrent whole-query lanes). The engine's own
-  /// pool additionally provides intra-query parallelism for the
-  /// kLatency path.
+  /// Serve workers: the most queries answered at once, and the most
+  /// threads a lone query's parallel phases run on.
   int num_threads = 4;
   /// Scheduling policy for every query the service runs.
   SchedulingPolicy policy = SchedulingPolicy::kAuto;
-  /// kAuto: a query whose estimated cost (point-pair kernel
-  /// evaluations) reaches this takes the intra-query parallel path when
-  /// it is the only query in flight. The default (64M point pairs, ~a
-  /// 256K x 256 collection) keeps small queries in throughput mode,
-  /// where a lone query gains little or nothing from the pool.
-  double parallel_cost_threshold = 64.0 * 1024.0 * 1024.0;
   /// Admission control: the most queries TrySubmit accepts before
   /// completing some (queued + executing). Further TrySubmits are
   /// rejected with kOverloaded — typed backpressure instead of an
@@ -63,8 +53,8 @@ struct QueryServiceOptions {
   size_t max_inflight = 0;
 };
 
-/// Dequeue order within a worker's deque. High-priority tasks jump the
-/// line; admission control and deadlines apply to both alike.
+/// Dequeue order in the service's queue. High-priority tasks jump the
+/// whole line; admission control and deadlines apply to both alike.
 enum class QueryPriority {
   kNormal,  ///< FIFO service order
   kHigh,    ///< served before queued normal tasks
@@ -89,16 +79,18 @@ struct SubmitOptions {
 /// every field under the same lock the submit/complete paths update
 /// them under, so cross-field invariants hold in any snapshot
 /// (submitted == completed + inflight; peak_inflight never exceeds the
-/// admission cap). `queued` alone is sampled from the scheduler's
-/// wake counter at snapshot time.
+/// admission cap). `queued` alone is sampled from the queue at snapshot
+/// time.
 struct ServeStats {
   uint64_t submitted = 0;
   uint64_t completed = 0;
-  /// Queries answered whole-query-per-worker (throughput path).
+  /// Queries answered whole-query-per-worker on one serve worker.
   uint64_t ran_inline = 0;
-  /// Queries answered via the intra-query parallel path.
+  /// Queries answered via the intra-query parallel path: a lone exact
+  /// query whose parallel phases the idle workers could join.
   uint64_t ran_parallel = 0;
-  /// Tasks executed by a worker other than the one they were queued on.
+  /// Helper joins: an idle worker ran its share of a lone query's
+  /// parallel phase.
   uint64_t steals = 0;
   /// TrySubmit rejections: the in-flight cap was reached (kOverloaded).
   uint64_t rejected_overload = 0;
@@ -109,7 +101,7 @@ struct ServeStats {
   uint64_t inflight = 0;
   /// Highest `inflight` ever observed.
   uint64_t peak_inflight = 0;
-  /// Tasks sitting in deques (accepted, not yet picked up), at
+  /// Tasks sitting in the queue (accepted, not yet picked up), at
   /// snapshot time.
   uint64_t queued = 0;
 };
@@ -117,9 +109,7 @@ struct ServeStats {
 class QueryService {
  public:
   /// Starts `options.num_threads` serve workers over `engine`, which
-  /// must outlive the service. While a service is attached, route
-  /// queries through it (or through the engine's thread-safe Search,
-  /// which serializes on the same pool the kLatency path uses).
+  /// must outlive the service.
   static Result<std::unique_ptr<QueryService>> Create(
       Engine* engine, const QueryServiceOptions& options);
 
@@ -167,11 +157,19 @@ class QueryService {
     std::promise<Result<SearchResponse>> promise;
   };
 
-  /// One worker's deque; siblings steal from the back under `mu`.
-  struct Shard {
-    Mutex mu{"QueryService::Shard::mu", LockRank::kServeDeque};
-    std::deque<Task> tasks PARISAX_GUARDED_BY(mu);
+  /// The parallel region a lone query has open: helpers take ids
+  /// next_id, next_id + 1, ... below num_threads while fn is set, each
+  /// worker at most once per region (its generation).
+  struct Region {
+    const std::function<void(int)>* fn = nullptr;
+    int next_id = 1;
+    int active = 0;            ///< helpers inside fn
+    std::exception_ptr error;  ///< the first exception a helper caught
+    uint64_t generation = 0;   ///< regions opened so far
   };
+
+  /// A lone query's executor: Run is RunRegion.
+  class HelperExecutor;
 
   QueryService(Engine* engine, const QueryServiceOptions& options);
 
@@ -181,32 +179,40 @@ class QueryService {
       SeriesView query, const SearchRequest& request,
       const SubmitOptions& submit, bool enforce_cap);
 
-  void WorkerLoop(int worker);
-  /// Pops from shard `worker` or steals from a sibling; false when every
-  /// deque is empty.
-  bool TryAcquire(int worker, Task* task);
+  void WorkerLoop();
+  /// Pops the queue's front task; nullopt when the queue is empty.
+  std::optional<Task> PopLocked() PARISAX_REQUIRES(mu_);
+  /// True when a region is open with an id left for a helper, and it
+  /// is not the region of generation `joined`.
+  bool CanJoinLocked(uint64_t joined) const PARISAX_REQUIRES(mu_);
   void Execute(Task task);
-  /// The kAuto cost heuristic: estimated point-pair kernel evaluations
-  /// for one query against the whole collection.
-  double EstimateCost(const SearchRequest& request) const;
+  /// Publishes `fn` as the open region, wakes the idle workers and runs
+  /// fn(0) on the calling thread; then closes the region, on every exit
+  /// path, and waits for the helpers that joined it. A worker that
+  /// wakes after the close joins nothing, so none is waited for unless
+  /// it started. Rethrows what fn threw, here or in a helper. Only a
+  /// query alone in flight calls this, so at most one region is open at
+  /// a time.
+  void RunRegion(const std::function<void(int)>& fn) PARISAX_EXCLUDES(mu_);
 
   Engine* const engine_;
   const QueryServiceOptions options_;
 
-  std::vector<Shard> shards_;
   std::vector<std::thread> workers_;
-  std::atomic<uint64_t> next_shard_{0};
 
-  /// Tasks sitting in deques (not yet acquired). Guards the sleep/wake
-  /// protocol together with wake_mu_.
-  std::atomic<size_t> queued_{0};
-  Mutex wake_mu_{"QueryService::wake_mu_", LockRank::kServeWake};
+  /// Guards the queue, the open region and the stop flag. Idle workers
+  /// sleep on wake_cv_, a region's owner waits for its helpers on
+  /// region_cv_.
+  mutable Mutex mu_{"QueryService::mu_", LockRank::kServeWake};
   CondVar wake_cv_;
-  bool stopping_ PARISAX_GUARDED_BY(wake_mu_) = false;
+  CondVar region_cv_;
+  std::deque<Task> queue_ PARISAX_GUARDED_BY(mu_);
+  Region region_ PARISAX_GUARDED_BY(mu_);
+  bool stopping_ PARISAX_GUARDED_BY(mu_) = false;
 
   TaskGroup inflight_;  // submitted but not yet completed
 
-  /// The one coherent counter block: every submit/steal/complete
+  /// The one coherent counter block: every submit/join/complete
   /// transition updates it under stats_mu_ (innermost lock, never held
   /// across engine calls), and stats() copies it whole — no
   /// mid-update cross-field tearing. Admission control piggybacks on

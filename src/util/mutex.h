@@ -92,12 +92,10 @@ enum class LockRank : int {
   kNetConnection = 20,   ///< Server::Connection::mu (per-connection outbox)
   // --- serve layer ---
   kServiceInit = 30,  ///< Engine::service_mu_ (lazy service)
-  kServeWake = 40,    ///< QueryService::wake_mu_ (sleep/wake protocol)
-  kServeDeque = 50,   ///< QueryService::Shard::mu (work-stealing deques)
-  // --- engine core (the documented append -> pool chain) ---
+  kServeWake = 40,    ///< QueryService::mu_ (task queue, helper region)
+  // --- engine core (the documented append -> compactor chain) ---
   kEngineAppend = 70,  ///< Engine::append_mu_ (writer gate)
   kCompactor = 80,     ///< Engine::compactor_mu_ (kicked under append_mu_)
-  kEnginePool = 90,    ///< Engine::pool_mu_ (shared ThreadPool regions)
   // --- index structures ---
   kServingDock = 110,  ///< ServingDock::mu_ (snapshot publication)
   kBuildSlot = 120,    ///< ParIS BatchSlot::mu (pipeline slots)

@@ -1,12 +1,12 @@
-// Threading substrate: a parallel-region thread pool, spin barrier,
+// Threading substrate: parallel-region executors, a thread pool,
 // Fetch&Inc work distribution, and the atomic best-so-far (BSF) cell.
 //
-// ParIS/ParIS+/MESSI are structured as *parallel regions*: a fixed set of
-// worker threads all execute the same phase function and synchronize on
-// barriers, distributing work items among themselves with Fetch&Inc
-// counters (the primitive the papers call out explicitly). ThreadPool
-// models exactly that: Run(f) executes f(worker_id) on every worker and
-// returns when all workers finish the phase.
+// ParIS/ParIS+/MESSI are structured as *parallel regions*: worker
+// threads all execute the same phase function, distributing work items
+// among themselves with Fetch&Inc counters (the primitive the papers
+// call out explicitly). An Executor runs one region; ThreadPool runs it
+// on a fixed set of workers, which may also meet at a barrier (the ParIS
+// bulk loader's per-batch one).
 #ifndef PARISAX_UTIL_THREADING_H_
 #define PARISAX_UTIL_THREADING_H_
 
@@ -86,50 +86,27 @@ class WorkCounter {
   std::atomic<size_t> next_{0};
 };
 
-/// Reusable spinning barrier for `parties` threads. Spins with
-/// std::this_thread::yield(), which behaves sensibly both on dedicated
-/// cores and when oversubscribed.
-class SpinBarrier {
- public:
-  explicit SpinBarrier(int parties) : parties_(parties) {}
-
-  /// Blocks until all `parties` threads have arrived.
-  void ArriveAndWait() {
-    const uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      generation_.fetch_add(1, std::memory_order_acq_rel);
-    } else {
-      while (generation_.load(std::memory_order_acquire) == gen) {
-        std::this_thread::yield();
-      }
-    }
-  }
-
- private:
-  const int parties_;
-  std::atomic<int> arrived_{0};
-  std::atomic<uint64_t> generation_{0};
-};
-
 /// Abstract parallel-region executor: the degree of parallelism a search
 /// phase runs with, decoupled from who owns the threads.
 ///
-/// Run(f) executes f(worker_id) for worker ids 0..num_threads()-1 and
-/// returns when all of them have finished. Query paths written against
-/// Executor run unchanged on a whole ThreadPool (one query fanned out
-/// over every core) or on an InlineExecutor (one query confined to the
-/// calling thread), which is what lets the serve layer run many queries
-/// concurrently: each query borrows an executor instead of owning the
-/// machine.
+/// Run(f) calls f(0) exactly once and f(id) at most once for each other
+/// id in [1, num_threads()), and returns when every call has returned.
+/// An id may not run at all, so a phase must not wait for a sibling id:
+/// it claims its work by Fetch&Inc, and whichever ids run finish it.
+/// State sized by num_threads() is indexed by id and may stay untouched.
+/// InlineExecutor runs only f(0), on the caller; the query service's
+/// helper executor runs f(0) on the caller and lends it the serve
+/// workers that are idle (serve/query_service.h); ThreadPool runs every
+/// id on its own workers. Query paths written against Executor thus run
+/// unchanged fanned out over every core or confined to one thread,
+/// which is what lets the serve layer answer many queries at once.
 class Executor {
  public:
   virtual ~Executor() = default;
 
   virtual int num_threads() const = 0;
 
-  /// Executes `fn(worker_id)` on all workers; returns when every worker
-  /// has returned from `fn`.
+  /// Runs one parallel region as described above.
   virtual void Run(const std::function<void(int)>& fn) = 0;
 
   /// Convenience: splits [0, total) into batches of `grain` items claimed
@@ -195,10 +172,12 @@ class ThreadPool : public Executor {
 
   int num_threads() const override { return num_threads_; }
 
-  /// Executes `fn(worker_id)` on all workers; blocks until every worker
-  /// has returned from `fn`. Not reentrant: at most one Run may be active
-  /// at a time (see util/threading.cpp), so concurrent queries must
-  /// either serialize their regions or use per-query InlineExecutors.
+  /// Executes `fn(worker_id)` on every worker, ids 0..num_threads()-1;
+  /// blocks until every worker has returned from `fn`. Unlike the other
+  /// executors it runs every id, so a phase may wait for its siblings,
+  /// as the ParIS bulk loader's per-batch barrier does. Not reentrant:
+  /// at most one Run may be active at a time (see util/threading.cpp),
+  /// so Engine creates a pool per build, restore, save or compaction.
   void Run(const std::function<void(int)>& fn) override;
 
  private:

@@ -555,21 +555,17 @@ TEST(FileSourceTest, AppendToAChangedFileIsCorruption) {
 
 // --- mmap source ------------------------------------------------------------
 
-// An MmapSource maps the grown file anew on every append and keeps the
-// old mappings. Reader threads call GetSeries on old rows, and on the
-// newest row the count admits, while the main thread appends: no read
-// may fail or return other values, and under ThreadSanitizer no read may
-// race the append's swap of the mapping and the count.
-TEST(MmapSourceTest, ReadsRunWhileAppendsRemap) {
-  constexpr size_t kLength = 32, kOld = 200, kBatch = 50, kBatches = 4;
-  const Dataset data = SmallDataset(kOld + kBatch * kBatches, kLength, 7);
-  const std::string path = TempPath("mmap_source_grow.psax");
-  ASSERT_TRUE(WriteDataset(Rows(data, 0, kOld), path).ok());
-  auto opened = MmapSource::Open(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  MmapSource* source = opened->get();
-  const Value* const first_mapping = source->ContiguousData();
-
+// Reader threads call GetSeries on old rows, and on the newest row the
+// count admits, while the main thread appends `data`'s rows past the
+// `old` that `source` holds, in batches of `batch`: no read may fail or
+// return other values, and under ThreadSanitizer no read may race the
+// append's publication of the grown buffer and the count. A view taken
+// before the appends still reads the old rows.
+void ExpectReadsRunWhileAppendsGrow(RawSeriesSource* source,
+                                    const Dataset& data, size_t old,
+                                    size_t batch) {
+  const size_t length = data.length();
+  const Value* const first_buffer = source->ContiguousData();
   const auto matches = [&](SeriesId id, const std::vector<Value>& got) {
     const SeriesView want = data.series(id);
     return std::equal(want.begin(), want.end(), got.begin());
@@ -580,10 +576,10 @@ TEST(MmapSourceTest, ReadsRunWhileAppendsRemap) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&, r] {
-      std::vector<Value> out(kLength);
+      std::vector<Value> out(length);
       for (SeriesId i = r; !stop.load(std::memory_order_acquire); ++i) {
         const SeriesId newest = source->count() - 1;
-        for (const SeriesId id : {i % kOld, newest}) {
+        for (const SeriesId id : {static_cast<SeriesId>(i % old), newest}) {
           const Status st = source->GetSeries(id, out.data());
           if (!st.ok() || !matches(id, out)) bad_reads.fetch_add(1);
         }
@@ -593,25 +589,45 @@ TEST(MmapSourceTest, ReadsRunWhileAppendsRemap) {
   }
   // Append only once every reader is reading.
   while (started.load() < 3) std::this_thread::yield();
-  std::vector<Value> buf(kLength);
-  for (size_t b = 0; b < kBatches; ++b) {
-    const size_t first = kOld + b * kBatch;
-    const Dataset batch = Rows(data, first, kBatch);
+  std::vector<Value> buf(length);
+  for (size_t first = old; first + batch <= data.count(); first += batch) {
+    const Dataset rows = Rows(data, first, batch);
     // EXPECT only while the readers run: they must be joined below.
-    const Status appended = source->AppendSeries(batch.raw(), kBatch);
+    const Status appended = source->AppendSeries(rows.raw(), batch);
     EXPECT_TRUE(appended.ok()) << appended.ToString();
-    EXPECT_EQ(source->count(), first + kBatch);
-    EXPECT_TRUE(source->GetSeries(first + kBatch - 1, buf.data()).ok());
-    EXPECT_TRUE(matches(first + kBatch - 1, buf));
+    EXPECT_EQ(source->count(), first + batch);
+    EXPECT_TRUE(source->GetSeries(first + batch - 1, buf.data()).ok());
+    EXPECT_TRUE(matches(first + batch - 1, buf));
   }
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
   EXPECT_EQ(bad_reads.load(), 0u);
-  // A view taken before the appends still reads the old rows.
-  EXPECT_TRUE(std::equal(first_mapping, first_mapping + kOld * kLength,
+  EXPECT_TRUE(std::equal(first_buffer, first_buffer + old * length,
                          data.raw()));
+}
+
+// An MmapSource maps the grown file anew on every append and keeps the
+// old mappings.
+TEST(MmapSourceTest, ReadsRunWhileAppendsRemap) {
+  constexpr size_t kLength = 32, kOld = 200, kBatch = 50, kBatches = 4;
+  const Dataset data = SmallDataset(kOld + kBatch * kBatches, kLength, 7);
+  const std::string path = TempPath("mmap_source_grow.psax");
+  ASSERT_TRUE(WriteDataset(Rows(data, 0, kOld), path).ok());
+  auto opened = MmapSource::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ExpectReadsRunWhileAppendsGrow(opened->get(), data, kOld, kBatch);
   std::remove(path.c_str());
+}
+
+// An adopting InMemorySource grows its Dataset into a new buffer and
+// retires the old one.
+TEST(InMemorySourceTest, ReadsRunWhileAdoptedAppendsGrow) {
+  constexpr size_t kLength = 32, kOld = 200, kBatch = 50, kBatches = 4;
+  const Dataset data = SmallDataset(kOld + kBatch * kBatches, kLength, 7);
+  InMemorySource source(Rows(data, 0, kOld));
+  ASSERT_TRUE(source.appendable());
+  ExpectReadsRunWhileAppendsGrow(&source, data, kOld, kBatch);
 }
 
 // --- buffered reader --------------------------------------------------------

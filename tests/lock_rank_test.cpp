@@ -36,7 +36,7 @@ TEST(LockRankTest, OutOfOrderReleaseIsTracked) {
   // The checker scans the whole held set, so releasing in a different
   // order than acquiring must not confuse it.
   Mutex a("test::a", LockRank::kEngineAppend);
-  Mutex b("test::b", LockRank::kEnginePool);
+  Mutex b("test::b", LockRank::kCompactor);
   Mutex c("test::c", LockRank::kServingDock);
   a.Lock();
   b.Lock();
@@ -65,7 +65,7 @@ TEST(LockRankTest, CondVarWaitKeepsHeldSetAccurate) {
   // After the wait returned, mu must be recorded as held exactly once:
   // acquiring a higher rank works, re-acquiring mu would abort.
   MutexLock lock(&mu);
-  Mutex above("test::above", LockRank::kServeDeque);
+  Mutex above("test::above", LockRank::kEngineAppend);
   MutexLock l2(&above);
 }
 

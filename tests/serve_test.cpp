@@ -1,11 +1,14 @@
 // QueryService: concurrent multi-query execution must return exactly
-// the answers the serial brute-force oracle returns, for every
-// scheduling policy, under storms of simultaneous Submits with mixed
-// request types (ED 1-NN, kNN, DTW) and mixed engines sharing one
-// process. These tests are the ASan/UBSan matrix leg's main target.
+// the answers the serial brute-force oracle returns, whether a query
+// runs alone with helpers or beside others, under storms of
+// simultaneous Submits with mixed request types (ED 1-NN, kNN, DTW) and
+// mixed engines sharing one process. These tests are the ASan/UBSan
+// matrix leg's main target.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <future>
 #include <thread>
 #include <vector>
@@ -54,10 +57,34 @@ std::unique_ptr<Engine> BuildEngine(const Dataset& data,
   return std::move(*engine);
 }
 
+uint32_t Bits(float value) {
+  uint32_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// ParIS+ over a LatchedSource: every series a query reads goes
+/// through the latch. Null (with a recorded failure) when the build
+/// fails.
+std::unique_ptr<Engine> BuildLatchedEngine(
+    const Dataset& data, const testsupport::ScopedTempDir& dir,
+    testsupport::LatchedSource** latch) {
+  auto latched = std::make_unique<testsupport::LatchedSource>(
+      std::make_unique<InMemorySource>(&data));
+  *latch = latched.get();
+  EngineOptions options;
+  options.algorithm = Algorithm::kParisPlus;
+  options.num_threads = 2;
+  options.leaf_storage_path = dir.Path("latched.leaves");
+  auto engine = Engine::Build(SourceSpec::Custom(std::move(latched)), options);
+  if (!engine.ok()) {
+    ADD_FAILURE() << engine.status().ToString();
+    return nullptr;
+  }
+  return std::move(*engine);
+}
+
 TEST(QueryServiceTest, PolicyNamesRoundTrip) {
-  EXPECT_STREQ(SchedulingPolicyName(SchedulingPolicy::kThroughput),
-               "throughput");
-  EXPECT_STREQ(SchedulingPolicyName(SchedulingPolicy::kLatency), "latency");
   EXPECT_STREQ(SchedulingPolicyName(SchedulingPolicy::kAuto), "auto");
 }
 
@@ -68,13 +95,10 @@ TEST(QueryServiceTest, CreateRejectsBadOptions) {
   QueryServiceOptions sopts;
   sopts.num_threads = 0;
   EXPECT_FALSE(QueryService::Create(engine.get(), sopts).ok());
-  sopts.num_threads = 2;
-  sopts.parallel_cost_threshold = 0.0;
-  EXPECT_FALSE(QueryService::Create(engine.get(), sopts).ok());
   EXPECT_FALSE(QueryService::Create(nullptr, QueryServiceOptions{}).ok());
 }
 
-// Every policy must produce oracle-exact answers for a batch.
+// A batch gets oracle-exact answers.
 TEST(QueryServiceTest, BatchMatchesOracleUnderEveryPolicy) {
   const Dataset data = MakeData(2000, 7);
   const Dataset queries = MakeQueries(32, 7);
@@ -86,43 +110,32 @@ TEST(QueryServiceTest, BatchMatchesOracleUnderEveryPolicy) {
     views.push_back(queries.series(q));
   }
 
-  for (const SchedulingPolicy policy :
-       {SchedulingPolicy::kThroughput, SchedulingPolicy::kLatency,
-        SchedulingPolicy::kAuto}) {
-    QueryServiceOptions sopts;
-    sopts.num_threads = 4;
-    sopts.policy = policy;
-    auto service = QueryService::Create(engine.get(), sopts);
-    ASSERT_TRUE(service.ok());
+  QueryServiceOptions sopts;
+  sopts.num_threads = 4;
+  auto service = QueryService::Create(engine.get(), sopts);
+  ASSERT_TRUE(service.ok());
 
-    auto responses = (*service)->SearchBatch(views);
-    ASSERT_TRUE(responses.ok()) << responses.status().ToString();
-    ASSERT_EQ(responses->size(), queries.count());
-    for (size_t q = 0; q < queries.count(); ++q) {
-      const Neighbor oracle =
-          BruteForceNn(InMemorySource(&data), queries.series(q));
-      EXPECT_EQ((*responses)[q].neighbors[0].id, oracle.id)
-          << SchedulingPolicyName(policy) << " query " << q;
-      EXPECT_FLOAT_EQ((*responses)[q].neighbors[0].distance_sq,
-                      oracle.distance_sq);
-    }
-    const ServeStats stats = (*service)->stats();
-    EXPECT_EQ(stats.submitted, queries.count());
-    EXPECT_EQ(stats.completed, queries.count());
-    if (policy == SchedulingPolicy::kThroughput) {
-      EXPECT_EQ(stats.ran_parallel, 0u);
-    }
-    if (policy == SchedulingPolicy::kLatency) {
-      EXPECT_EQ(stats.ran_inline, 0u);
-    }
+  auto responses = (*service)->SearchBatch(views);
+  ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+  ASSERT_EQ(responses->size(), queries.count());
+  for (size_t q = 0; q < queries.count(); ++q) {
+    const Neighbor oracle =
+        BruteForceNn(InMemorySource(&data), queries.series(q));
+    EXPECT_EQ((*responses)[q].neighbors[0].id, oracle.id) << "query " << q;
+    EXPECT_FLOAT_EQ((*responses)[q].neighbors[0].distance_sq,
+                    oracle.distance_sq);
   }
+  const ServeStats stats = (*service)->stats();
+  EXPECT_EQ(stats.submitted, queries.count());
+  EXPECT_EQ(stats.completed, queries.count());
+  EXPECT_EQ(stats.ran_inline + stats.ran_parallel, queries.count());
 }
 
-// kAuto takes the parallel path only for a query that is alone in the
+// A query takes the parallel path only when it is alone in the
 // service. The first query starts alone and parks inside the engine; a
-// second expensive query submitted while it is still executing finds
-// the deques empty but one query in flight, so it must run inline
-// instead of queueing on the engine's pool. The latch opens only once
+// second exact query submitted while it is still executing finds the
+// queue empty but one query in flight, so it must run inline instead of
+// sharing the first one's helpers. Both readers are released only once
 // both queries are executing, so each decision sees a fixed state.
 // ParIS+ over the latched (streamed) source reads its approximate
 // leaf's series through GetSeries on the query's own thread, before
@@ -130,27 +143,22 @@ TEST(QueryServiceTest, BatchMatchesOracleUnderEveryPolicy) {
 TEST(QueryServiceTest, AutoGoesParallelOnlyForALoneQuery) {
   const Dataset data = MakeData(300, 29);
   const Dataset queries = MakeQueries(2, 29);
-  auto latched = std::make_unique<testsupport::LatchedSource>(
-      std::make_unique<InMemorySource>(&data), /*readers=*/2);
-  const testsupport::LatchedSource* latch = latched.get();
   testsupport::ScopedTempDir dir("parisax_serve");
-  EngineOptions options;
-  options.algorithm = Algorithm::kParisPlus;
-  options.num_threads = 2;
-  options.leaf_storage_path = dir.Path("latched.leaves");
-  auto engine = Engine::Build(SourceSpec::Custom(std::move(latched)), options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  testsupport::LatchedSource* latch = nullptr;
+  auto engine = BuildLatchedEngine(data, dir, &latch);
+  ASSERT_NE(engine, nullptr);
 
   QueryServiceOptions sopts;
   sopts.num_threads = 2;
-  sopts.policy = SchedulingPolicy::kAuto;
-  sopts.parallel_cost_threshold = 1.0;  // every exact query clears it
-  auto service = QueryService::Create(engine->get(), sopts);
+  auto service = QueryService::Create(engine.get(), sopts);
   ASSERT_TRUE(service.ok());
 
+  latch->Arm(0);
   auto first = (*service)->Submit(queries.series(0));
-  latch->WaitParked(1);
+  latch->WaitArrived(1);
   auto second = (*service)->Submit(queries.series(1));
+  latch->WaitArrived(2);
+  latch->ReleaseAll();
   for (size_t q = 0; q < 2; ++q) {
     auto response = (q == 0 ? first : second).get();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -162,6 +170,162 @@ TEST(QueryServiceTest, AutoGoesParallelOnlyForALoneQuery) {
   const ServeStats stats = (*service)->stats();
   EXPECT_EQ(stats.ran_parallel, 1u);  // the first: alone when it started
   EXPECT_EQ(stats.ran_inline, 1u);    // the second: one already in flight
+}
+
+/// The reads the approximate probe of `query` makes: a latch armed to
+/// pass them parks the first refinement read of an exact `query`.
+size_t ProbeReads(Engine* engine, const testsupport::LatchedSource& latch,
+                  SeriesView query) {
+  InlineExecutor inline_exec;
+  SearchRequest approximate;
+  approximate.approximate = true;
+  const size_t before = latch.log().size();
+  EXPECT_TRUE(engine->Search(query, approximate, &inline_exec).ok());
+  return latch.log().size() - before;
+}
+
+/// Waits up to 20 s for `n` readers and returns how many arrived: a
+/// lone worker never brings a second reader, so a missing helper fails
+/// a test instead of hanging it.
+size_t WaitForReaders(const testsupport::LatchedSource& latch, size_t n) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (latch.arrived() < n && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return latch.arrived();
+}
+
+// An idle worker joins a lone query's parallel phase. The approximate
+// probe's reads pass; the first refinement read parks its reader, and
+// only a second thread reading in the same phase, a helper, arrives as
+// the second reader. The owner claims the first four survivors, so the
+// collection is sized to leave a helper more.
+TEST(QueryServiceTest, IdleWorkerJoinsALoneQuerysPhase) {
+  const Dataset data = MakeData(2000, 37);
+  const Dataset queries = MakeQueries(1, 37);
+  const SeriesView query = queries.series(0);
+  testsupport::ScopedTempDir dir("parisax_serve_helper");
+  testsupport::LatchedSource* latch = nullptr;
+  auto engine = BuildLatchedEngine(data, dir, &latch);
+  ASSERT_NE(engine, nullptr);
+  const size_t probe_reads = ProbeReads(engine.get(), *latch, query);
+  InlineExecutor inline_exec;
+  auto inline_answer = engine->Search(query, {}, &inline_exec);
+  ASSERT_TRUE(inline_answer.ok()) << inline_answer.status().ToString();
+  ASSERT_GT(inline_answer->stats.candidates, 8u);
+
+  QueryServiceOptions sopts;
+  sopts.num_threads = 2;
+  auto service = QueryService::Create(engine.get(), sopts);
+  ASSERT_TRUE(service.ok());
+
+  latch->Arm(probe_reads);
+  auto future = (*service)->Submit(query);
+  EXPECT_EQ(WaitForReaders(*latch, 2), 2u);
+  latch->ReleaseAll();
+
+  auto response = future.get();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  const Neighbor oracle = BruteForceNn(InMemorySource(&data), query);
+  EXPECT_EQ(response->neighbors[0].id, oracle.id);
+  EXPECT_EQ(Bits(response->neighbors[0].distance_sq), Bits(oracle.distance_sq));
+  const ServeStats stats = (*service)->stats();
+  EXPECT_EQ(stats.ran_parallel, 1u);
+  EXPECT_GE(stats.steals, 1u);
+}
+
+// A phase that throws fails only its query, whichever thread it threw
+// on: both readers of a lone query's refinement, the owner and its
+// helper, throw. The query answers kInternal, and the same two workers
+// then answer the next query.
+TEST(QueryServiceTest, AThrowingPhaseFailsOnlyItsQuery) {
+  const Dataset data = MakeData(2000, 37);
+  const Dataset queries = MakeQueries(1, 37);
+  const SeriesView query = queries.series(0);
+  testsupport::ScopedTempDir dir("parisax_serve_throw");
+  testsupport::LatchedSource* latch = nullptr;
+  auto engine = BuildLatchedEngine(data, dir, &latch);
+  ASSERT_NE(engine, nullptr);
+  const size_t probe_reads = ProbeReads(engine.get(), *latch, query);
+
+  QueryServiceOptions sopts;
+  sopts.num_threads = 2;
+  auto service = QueryService::Create(engine.get(), sopts);
+  ASSERT_TRUE(service.ok());
+
+  latch->Arm(probe_reads);
+  auto failing = (*service)->Submit(query);
+  EXPECT_EQ(WaitForReaders(*latch, 2), 2u);
+  latch->ReleaseAll(/*fail=*/true);
+  const auto failed = failing.get();
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+
+  auto next = (*service)->Submit(query).get();
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->neighbors[0].id,
+            BruteForceNn(InMemorySource(&data), query).id);
+}
+
+// kHigh jumps the whole queue, not one worker's share of it. Both
+// workers are held on approximate queries while four more queue behind
+// them, the last one high-priority; then one worker is released and
+// drains the queue alone while the other stays held. Each query is a
+// collection series whose approximate probe reads only that series, so
+// the read log shows the order the worker took them in.
+TEST(QueryServiceTest, HighPriorityJumpsTheWholeQueue) {
+  const Dataset data = MakeData(300, 43);
+  testsupport::ScopedTempDir dir("parisax_serve_priority");
+  testsupport::LatchedSource* latch = nullptr;
+  auto engine = BuildLatchedEngine(data, dir, &latch);
+  ASSERT_NE(engine, nullptr);
+
+  InlineExecutor inline_exec;
+  SearchRequest approximate;
+  approximate.approximate = true;
+  std::vector<SeriesId> solo;  // series whose probe reads only them
+  for (SeriesId id = 0; id < data.count() && solo.size() < 6; ++id) {
+    const size_t before = latch->log().size();
+    ASSERT_TRUE(
+        engine->Search(data.series(id), approximate, &inline_exec).ok());
+    const std::vector<SeriesId> log = latch->log();
+    if (log.size() == before + 1 && log.back() == id) solo.push_back(id);
+  }
+  ASSERT_EQ(solo.size(), 6u);
+
+  QueryServiceOptions sopts;
+  sopts.num_threads = 2;
+  auto service = QueryService::Create(engine.get(), sopts);
+  ASSERT_TRUE(service.ok());
+
+  latch->Arm(0);
+  auto held = (*service)->Submit(data.series(solo[0]), approximate);
+  latch->WaitArrived(1);
+  auto draining = (*service)->Submit(data.series(solo[1]), approximate);
+  latch->WaitArrived(2);
+  std::vector<std::future<Result<SearchResponse>>> normal;
+  for (size_t i = 2; i < 5; ++i) {
+    normal.push_back((*service)->Submit(data.series(solo[i]), approximate));
+  }
+  SubmitOptions high;
+  high.priority = QueryPriority::kHigh;
+  auto urgent = (*service)->TrySubmit(data.series(solo[5]), approximate, high);
+  ASSERT_TRUE(urgent.ok());
+  EXPECT_EQ((*service)->stats().queued, 4u);
+
+  const size_t mark = latch->log().size();
+  latch->Release(1);
+  EXPECT_TRUE(draining.get().ok());
+  EXPECT_TRUE(urgent->get().ok());
+  for (auto& future : normal) EXPECT_TRUE(future.get().ok());
+  const std::vector<SeriesId> log = latch->log();
+  latch->ReleaseAll();
+  EXPECT_TRUE(held.get().ok());
+
+  const std::vector<SeriesId> order(log.begin() + mark, log.end());
+  const std::vector<SeriesId> expected = {solo[1], solo[5], solo[2],
+                                          solo[3], solo[4]};
+  EXPECT_EQ(order, expected);
 }
 
 // A storm of simultaneous Submits with mixed request types: ED 1-NN,
@@ -268,8 +432,9 @@ TEST(QueryServiceTest, MixedEnginesServeConcurrently) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// Direct Engine::Search from many threads must serialize on the pool
-// instead of crashing (the pre-serve behaviour was an abort).
+// Direct Engine::Search from many threads goes through the engine's
+// service: the queries overlap instead of crashing (the pre-serve
+// behaviour was an abort).
 TEST(QueryServiceTest, DirectConcurrentEngineSearchIsSafe) {
   const Dataset data = MakeData(800, 31);
   const Dataset queries = MakeQueries(12, 31);

@@ -143,30 +143,6 @@ TEST(WorkCounterTest, NextItemExhausts) {
   EXPECT_EQ(n, 5u);
 }
 
-// --- SpinBarrier -------------------------------------------------------------
-
-TEST(SpinBarrierTest, RoundsStayInLockstep) {
-  constexpr int kThreads = 4, kRounds = 50;
-  SpinBarrier barrier(kThreads);
-  std::atomic<int> counter{0};
-  std::vector<std::thread> threads;
-  std::atomic<bool> failed{false};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int r = 0; r < kRounds; ++r) {
-        counter.fetch_add(1);
-        barrier.ArriveAndWait();
-        // Between barriers the counter must be exactly (r+1)*kThreads.
-        if (counter.load() != (r + 1) * kThreads) failed.store(true);
-        barrier.ArriveAndWait();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_FALSE(failed.load());
-  EXPECT_EQ(counter.load(), kThreads * kRounds);
-}
-
 // --- ThreadPool --------------------------------------------------------------
 
 TEST(ThreadPoolTest, RunExecutesOnAllWorkers) {
